@@ -6,32 +6,29 @@ that measures them, and a CSV-emitting CLI for parameter sweeps.
 """
 
 from .adaptation import (ErrorModel, NoCrossoverError, Policy, PolicyDomain,
-                         Scheme, WaterfillConstants, crossover_pth,
-                         impulse_ber_under_conventional, make_policy,
-                         outage_prob_conventional, qam_ber, rate_aggressive,
+                         Scheme, WaterfillConstants, crossover_from_rates,
+                         crossover_pth, impulse_ber_under_conventional,
+                         make_policies, make_policy, outage_prob_conventional,
+                         policy_rate, qam_ber, rate_aggressive,
                          rate_conservative, rate_conventional, rate_for,
                          solve_threshold, wf_power_fraction, wf_rate_bits)
 from .channel import (ChannelParams, CoherenceBlock, DensityKind, SinrDensity,
-                      db_to_linear, density_at, sample_block, sample_fading,
-                      sinr_of)
-from .numerics import (Bracket, ConvergenceError, NoSignChangeError,
-                       exp_integral_e1, expand_bracket,
-                       integrate_semi_infinite, solve_monotone_root)
+                      db_to_linear, sample_block, sample_fading, sinr_of)
+from .numerics import ConvergenceError, solve_cutoffs
 from .simulate import (SimConfig, SimMode, SimResult, aggregate, chunk_configs,
-                       chunk_seed, expected_outage, governing_sinr, simulate,
-                       simulate_chunked)
+                       chunk_seed, expected_outage, governing_sinr,
+                       policy_outage, simulate, simulate_chunked,
+                       simulate_policy)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket",
     "ChannelParams",
     "CoherenceBlock",
     "ConvergenceError",
     "DensityKind",
     "ErrorModel",
     "NoCrossoverError",
-    "NoSignChangeError",
     "Policy",
     "PolicyDomain",
     "Scheme",
@@ -43,17 +40,17 @@ __all__ = [
     "aggregate",
     "chunk_configs",
     "chunk_seed",
+    "crossover_from_rates",
     "crossover_pth",
     "db_to_linear",
-    "density_at",
-    "exp_integral_e1",
-    "expand_bracket",
     "expected_outage",
     "governing_sinr",
     "impulse_ber_under_conventional",
-    "integrate_semi_infinite",
+    "make_policies",
     "make_policy",
     "outage_prob_conventional",
+    "policy_outage",
+    "policy_rate",
     "qam_ber",
     "rate_aggressive",
     "rate_conservative",
@@ -63,8 +60,9 @@ __all__ = [
     "sample_fading",
     "simulate",
     "simulate_chunked",
+    "simulate_policy",
     "sinr_of",
-    "solve_monotone_root",
+    "solve_cutoffs",
     "solve_threshold",
     "wf_power_fraction",
     "wf_rate_bits",

@@ -12,21 +12,27 @@ is assumed to mean:
 * ``aggressive`` adapts on the fading power H as if bursts never happen;
 * ``conservative`` adapts on H as if every symbol were hit.
 
-Average spectral efficiencies reduce to exponential-integral closed forms;
-the cutoffs come from a one-dimensional root solve of the power budget.
-All functions are pure and all records immutable.
+Average spectral efficiencies reduce to exponential-integral closed forms
+evaluated at a water-filling cutoff. Cutoffs come from one vectorised
+solve of the power budget (:func:`impulsewf.numerics.solve_cutoffs`):
+``make_policies`` solves any number of (scheme, link) pairs in one call,
+and the ``policy_*`` closed forms consume the solved policies, so a sweep
+solves each cutoff once. The scalar ``rate_*`` functions wrap the same
+path for one link. All functions are pure and all records immutable.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy.special import exp1
 
 from .channel import ChannelParams, DensityKind, SinrDensity
-from .numerics import exp_integral_e1, expand_bracket, solve_monotone_root
+from .numerics import budget_rows, solve_cutoffs
 
 __all__ = [
     "LOG2_E",
@@ -40,7 +46,9 @@ __all__ = [
     "wf_power_fraction",
     "wf_rate_bits",
     "solve_threshold",
+    "make_policies",
     "make_policy",
+    "policy_rate",
     "rate_conventional",
     "rate_aggressive",
     "rate_conservative",
@@ -48,6 +56,7 @@ __all__ = [
     "outage_prob_conventional",
     "impulse_ber_under_conventional",
     "crossover_pth",
+    "crossover_from_rates",
 ]
 
 LOG2_E = math.log2(math.e)
@@ -171,97 +180,131 @@ def wf_rate_bits(gamma, policy: Policy):
     return out.item() if out.ndim == 0 else out
 
 
+def _component_table(densities: Sequence[SinrDensity]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and means, one row per density, padded with zero weights."""
+    weights = np.zeros((len(densities), 2))
+    means = np.ones((len(densities), 2))
+    for row, density in enumerate(densities):
+        for col, (weight, mean) in enumerate(density.components):
+            weights[row, col] = weight
+            means[row, col] = mean
+    return weights, means
+
+
 def budget_lhs(density: SinrDensity, threshold: float) -> float:
     """Average of (1/threshold - 1/gamma)+ under ``density``, in closed form.
 
     Per exponential component of mean m this is
     exp(-t/m)/t - E1(t/m)/m, summed with the component weights.
     """
-    total = 0.0
-    for weight, mean in density.components:
-        if weight > 0.0:
-            z = threshold / mean
-            total += weight * (math.exp(-z) / threshold - exp_integral_e1(z) / mean)
-    return total
+    weights, means = _component_table([density])
+    return float(budget_rows([threshold], weights, means)[0])
 
 
 def solve_threshold(density: SinrDensity, k: float) -> float:
     """Cutoff at which the average water-filling spend equals the budget.
 
     Solves budget_lhs(density, t) = k for t. The left side decreases from
-    +inf to 0, so a root always exists for k > 0; the bracket starts at
-    [1e-8, 1] and doubles its upper end until it straddles the root.
+    +inf to 0, so a root always exists for k > 0.
     """
-    if not k > 0.0:
-        raise ValueError(f"budget constant k must be positive, got {k}")
+    weights, means = _component_table([density])
+    return float(solve_cutoffs(weights, means, [k])[0])
 
-    def gap(t: float) -> float:
-        return budget_lhs(density, t) - k
 
-    bracket = expand_bracket(gap, lo=1e-8, hi=1.0, hi_cap=1e6)
-    return solve_monotone_root(gap, bracket, tol=1e-12)
+def _budget_setup(scheme: Scheme, params: ChannelParams,
+                  em: ErrorModel) -> tuple[SinrDensity, float, PolicyDomain]:
+    """Density the cutoff of ``scheme`` is priced on, its budget constant
+    and the domain the cutoff lives on."""
+    consts = WaterfillConstants.for_link(params, em)
+    if scheme is Scheme.CONVENTIONAL:
+        return (SinrDensity.for_params(params, DensityKind.MIXTURE),
+                consts.k_sinr, PolicyDomain.SINR)
+    k = consts.k_clean if scheme is Scheme.AGGRESSIVE else consts.k_impulse
+    return SinrDensity.unit_exponential(), k, PolicyDomain.CHANNEL_GAIN
+
+
+def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
+                  em: ErrorModel) -> list[Policy]:
+    """Solve the cutoff of every (scheme, link) pair in one vectorised call.
+
+    Each cutoff is solved independently of the others in the call, so
+    the result for a pair equals ``make_policy`` on that pair alone.
+    """
+    setups = [_budget_setup(scheme, params, em) for scheme, params in requests]
+    weights, means = _component_table([density for density, _, _ in setups])
+    thresholds = solve_cutoffs(weights, means, [k for _, k, _ in setups])
+    return [Policy(scheme=scheme, threshold=float(t), k_used=k, domain=domain)
+            for (scheme, _), (_, k, domain), t in zip(requests, setups, thresholds)]
 
 
 def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy:
     """Solve the cutoff for ``scheme`` on this link."""
-    consts = WaterfillConstants.for_link(params, em)
-    if scheme is Scheme.CONVENTIONAL:
-        density = SinrDensity.for_params(params, DensityKind.MIXTURE)
-        return Policy(scheme=scheme, threshold=solve_threshold(density, consts.k_sinr),
-                      k_used=consts.k_sinr, domain=PolicyDomain.SINR)
-    unit = SinrDensity.unit_exponential()
-    k = consts.k_clean if scheme is Scheme.AGGRESSIVE else consts.k_impulse
-    return Policy(scheme=scheme, threshold=solve_threshold(unit, k),
-                  k_used=k, domain=PolicyDomain.CHANNEL_GAIN)
+    return make_policies([(scheme, params)], em)[0]
+
+
+def policy_rate(policy: Policy, params: ChannelParams) -> float:
+    """Closed-form average spectral efficiency of a solved policy on ``params``.
+
+    ``policy`` must have been solved for this link; the aggressive and
+    conservative cutoffs do not depend on the burst probability, so one
+    such policy serves every p. Each rate is log2(e) times a weighted sum
+    of E1(t / mean) over the SINR components the policy earns on:
+
+    * conventional: (1-p)^2 * E1(t/mean_clean) + p * E1(t/mean_hit). Symbols
+      in a block whose burst state is worse than the fed-back first
+      symbol's miss the BER target and earn nothing, which is what turns
+      the burst-free weight into (1 - p)^2;
+    * aggressive: (1 - p) * E1(t), as every burst-hit symbol misses the
+      target;
+    * conservative: E1(t) for every p, as the target is always met.
+
+    At the cutoff E1(t) equals exp(-t)/t - k, the budget equation, but
+    without the cancellation that form suffers when k is large.
+    """
+    t = policy.threshold
+    p = params.impulse_prob
+    if policy.scheme is Scheme.CONVENTIONAL:
+        clean_part = exp1(t / params.mean_sinr_clean)
+        hit_part = exp1(t / params.mean_sinr_impulse)
+        return float(LOG2_E * ((1.0 - p) ** 2 * clean_part + p * hit_part))
+    burst_free_rate = float(LOG2_E * exp1(t))
+    if policy.scheme is Scheme.AGGRESSIVE:
+        # Scaling the p = 0 rate keeps the linearity in p exact in floats.
+        return (1.0 - p) * burst_free_rate
+    return burst_free_rate
 
 
 def rate_conventional(params: ChannelParams, em: ErrorModel) -> float:
     """Average spectral efficiency of SINR-feedback water-filling.
 
-    The cutoff is priced on the clean/hit mixture. Symbols in a block whose
-    burst state is worse than the fed-back first symbol's miss the BER
-    target and earn nothing, which is what turns the burst-free weight into
-    (1 - p)^2:
+    The cutoff is priced on the clean/hit mixture; see :func:`policy_rate`:
 
         (1-p)^2 * log2(e) * E1(t/mean_clean) + p * log2(e) * E1(t/mean_hit)
     """
-    policy = make_policy(Scheme.CONVENTIONAL, params, em)
-    p = params.impulse_prob
-    clean_part = exp_integral_e1(policy.threshold / params.mean_sinr_clean)
-    hit_part = exp_integral_e1(policy.threshold / params.mean_sinr_impulse)
-    return LOG2_E * ((1.0 - p) ** 2 * clean_part + p * hit_part)
+    return policy_rate(make_policy(Scheme.CONVENTIONAL, params, em), params)
 
 
 def rate_aggressive(params: ChannelParams, em: ErrorModel) -> float:
     """Average spectral efficiency of burst-blind water-filling on H.
 
     Every burst-hit symbol misses the BER target and earns nothing, leaving
-    (1 - p) * log2(e) * (exp(-t)/t - k_clean) with t the clean-priced cutoff.
+    (1 - p) * log2(e) * E1(t) with t the clean-priced cutoff.
     """
-    policy = make_policy(Scheme.AGGRESSIVE, params, em)
-    t = policy.threshold
-    # Scaling the p = 0 rate keeps the linearity in p exact in floats.
-    burst_free_rate = LOG2_E * (math.exp(-t) / t - policy.k_used)
-    return (1.0 - params.impulse_prob) * burst_free_rate
+    return policy_rate(make_policy(Scheme.AGGRESSIVE, params, em), params)
 
 
 def rate_conservative(params: ChannelParams, em: ErrorModel) -> float:
     """Average spectral efficiency of worst-case water-filling on H.
 
     Pricing for the burst-hit noise level means the target is always met,
-    so the rate log2(e) * (exp(-t)/t - k_impulse) holds for every burst
-    probability.
+    so the rate log2(e) * E1(t) holds for every burst probability.
     """
-    policy = make_policy(Scheme.CONSERVATIVE, params, em)
-    t = policy.threshold
-    return LOG2_E * (math.exp(-t) / t - policy.k_used)
+    return policy_rate(make_policy(Scheme.CONSERVATIVE, params, em), params)
 
 
 def rate_for(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> float:
     """Closed-form average spectral efficiency of ``scheme``."""
-    return {Scheme.CONVENTIONAL: rate_conventional,
-            Scheme.AGGRESSIVE: rate_aggressive,
-            Scheme.CONSERVATIVE: rate_conservative}[scheme](params, em)
+    return policy_rate(make_policy(scheme, params, em), params)
 
 
 def outage_prob_conventional(p: float) -> float:
@@ -297,11 +340,14 @@ def crossover_pth(params: ChannelParams, em: ErrorModel) -> float:
     flat, so the crossing is 1 - rate_conservative / rate_aggressive(0).
     """
     at_p0 = replace(params, impulse_prob=0.0)
-    return _crossover_from_rates(rate_aggressive(at_p0, em),
-                                 rate_conservative(params, em))
+    aggressive, conservative = make_policies(
+        [(Scheme.AGGRESSIVE, at_p0), (Scheme.CONSERVATIVE, at_p0)], em)
+    return crossover_from_rates(policy_rate(aggressive, at_p0),
+                                policy_rate(conservative, at_p0))
 
 
-def _crossover_from_rates(aggressive_at_p0: float, conservative: float) -> float:
+def crossover_from_rates(aggressive_at_p0: float, conservative: float) -> float:
+    """Crossover 1 - conservative / aggressive_at_p0 of two solved rates."""
     if conservative > aggressive_at_p0:
         raise NoCrossoverError(
             f"conservative rate {conservative:.6g} is never below the "

@@ -24,7 +24,6 @@ __all__ = [
     "DensityKind",
     "SinrDensity",
     "CoherenceBlock",
-    "density_at",
     "sample_fading",
     "sample_block",
     "sinr_of",
@@ -44,8 +43,10 @@ class ChannelParams:
     ----------
     snr_db : float
         Mean SNR of interference-free symbols at full average power, in dB.
+        Must be finite.
     inr_db : float
-        Interference-to-noise power ratio of a burst, in dB.
+        Interference-to-noise power ratio of a burst, in dB. Must be finite
+        or -inf, which means bursts carry no interference.
     impulse_prob : float
         Per-symbol probability of an interference burst, in [0, 1].
     avg_power : float
@@ -59,12 +60,24 @@ class ChannelParams:
     avg_power: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if math.isnan(self.inr_db) or self.inr_db == math.inf:
+            raise ValueError(f"inr_db must be finite or -inf, got {self.inr_db}")
         if not 0.0 <= self.impulse_prob <= 1.0:
             raise ValueError(f"impulse_prob must be in [0, 1], got {self.impulse_prob}")
         if not self.avg_power > 0.0:
             raise ValueError(f"avg_power must be positive, got {self.avg_power}")
-        if not self.snr_linear > 0.0:
+        try:
+            snr, inr = self.snr_linear, self.inr_linear
+        except OverflowError:
+            raise ValueError(f"snr_db={self.snr_db} or inr_db={self.inr_db} "
+                             f"is out of the floating-point range") from None
+        if not snr > 0.0:
             raise ValueError(f"snr_db={self.snr_db} gives a non-positive mean SNR")
+        if not snr / (1.0 + inr) > 0.0:
+            raise ValueError(f"inr_db={self.inr_db} leaves burst-hit symbols "
+                             f"no SINR at snr_db={self.snr_db}")
 
     @property
     def snr_linear(self) -> float:
@@ -144,17 +157,6 @@ class SinrDensity:
             return ((1.0, self.mean_impulse),)
         return ((1.0 - self.weight_impulse, self.mean_clean),
                 (self.weight_impulse, self.mean_impulse))
-
-
-def density_at(density: SinrDensity, gamma):
-    """Evaluate the SINR probability density at ``gamma`` (scalar or array)."""
-    g = np.asarray(gamma, dtype=float)
-    out = np.zeros_like(g)
-    for weight, mean in density.components:
-        if weight > 0.0:
-            out = out + (weight / mean) * np.exp(-g / mean)
-    out = np.where(g < 0.0, 0.0, out)
-    return out.item() if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,27 @@ flag destinations), which override built-in defaults. The CSV stream is
 deterministic: fixed column order, rows ordered by (p, scheme), '.' decimal
 separator, LF newlines, numbers carrying 12 significant digits.
 
-Exit codes: 0 ok, 1 configuration error, 2 verification failure.
+Every command solves each cutoff it needs once: a sweep solves all of its
+cutoffs in one vectorised call, with the p-independent aggressive and
+conservative cutoffs solved once rather than per p.
+
+Exit codes: 0 ok, 1 configuration or computation error (one line on
+stderr), 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
 
-from .adaptation import (ErrorModel, NoCrossoverError, Scheme, crossover_pth,
-                         rate_aggressive, rate_conservative, rate_for)
+from .adaptation import (ErrorModel, NoCrossoverError, Policy, Scheme,
+                         crossover_from_rates, make_policies, policy_rate)
 from .channel import ChannelParams
-from .simulate import SimConfig, SimMode, expected_outage, simulate
+from .numerics import ConvergenceError
+from .simulate import SimConfig, SimMode, policy_outage, simulate_policy
 
 __all__ = [
     "ConfigError",
@@ -144,17 +151,33 @@ def parse_csv(text: str) -> list[CsvRow]:
     return rows
 
 
+def _sweep(spec: SweepSpec,
+           em: ErrorModel) -> list[tuple[float, ChannelParams, Policy]]:
+    """(p, link, solved policy) per row, in (p, scheme) order.
+
+    All cutoffs come from one solve call. Conventional needs a cutoff per
+    p; aggressive and conservative one in all, as theirs do not depend
+    on p.
+    """
+    links = [spec.params_at(p) for p in spec.p_grid]
+    conventional = Scheme.CONVENTIONAL
+    requests = [(s, link) for s in spec.schemes
+                for link in (links if s is conventional else links[:1])]
+    solved = iter(make_policies(requests, em))
+    policies = {s: [next(solved) for _ in links] if s is conventional
+                else [next(solved)] * len(links) for s in spec.schemes}
+    return [(p, link, policies[s][i])
+            for i, (p, link) in enumerate(zip(spec.p_grid, links))
+            for s in spec.schemes]
+
+
 def cmd_theory(spec: SweepSpec) -> str:
     """Closed-form sweep: one row per (p, scheme)."""
     em = spec.error_model()
-    rows = []
-    for p in spec.p_grid:
-        params = spec.params_at(p)
-        for scheme in spec.schemes:
-            rows.append(CsvRow(
-                p=p, scheme=scheme.value,
-                rate_theory=rate_for(scheme, params, em),
-                outage_theory=expected_outage(scheme, params, em)))
+    rows = [CsvRow(p=p, scheme=policy.scheme.value,
+                   rate_theory=policy_rate(policy, params),
+                   outage_theory=policy_outage(policy, params, em))
+            for p, params, policy in _sweep(spec, em)]
     return rows_to_csv(rows)
 
 
@@ -163,19 +186,17 @@ def cmd_simulate(spec: SweepSpec) -> str:
     em = spec.error_model()
     cfg = spec.sim_config()
     rows = []
-    for p in spec.p_grid:
-        params = spec.params_at(p)
-        for scheme in spec.schemes:
-            result = simulate(params, em, scheme, cfg)
-            rows.append(CsvRow(
-                p=p, scheme=scheme.value,
-                rate_theory=rate_for(scheme, params, em),
-                rate_sim=result.avg_se,
-                outage_theory=expected_outage(scheme, params, em,
-                                              cfg.mode, cfg.block_len),
-                outage_sim=result.outage_frac,
-                mean_power_sim=result.mean_power_frac,
-                seed=result.seed_used))
+    for p, params, policy in _sweep(spec, em):
+        result = simulate_policy(policy, params, em, cfg)
+        rows.append(CsvRow(
+            p=p, scheme=policy.scheme.value,
+            rate_theory=policy_rate(policy, params),
+            rate_sim=result.avg_se,
+            outage_theory=policy_outage(policy, params, em,
+                                        cfg.mode, cfg.block_len),
+            outage_sim=result.outage_frac,
+            mean_power_sim=result.mean_power_frac,
+            seed=result.seed_used))
     return rows_to_csv(rows)
 
 
@@ -183,15 +204,17 @@ def cmd_crossover(spec: SweepSpec) -> str:
     """Report where the aggressive and conservative rates intersect."""
     em = spec.error_model()
     params = spec.params_at(0.0)
-    rate_n0 = rate_aggressive(params, em)
-    rate_i = rate_conservative(params, em)
+    aggressive, conservative = make_policies(
+        [(Scheme.AGGRESSIVE, params), (Scheme.CONSERVATIVE, params)], em)
+    rate_n0 = policy_rate(aggressive, params)
+    rate_i = policy_rate(conservative, params)
     lines = [
         f"snr_db={_fmt(spec.snr_db)} mu_db={_fmt(spec.mu_db)}",
         f"aggressive_rate_p0={_fmt(rate_n0)}",
         f"conservative_rate={_fmt(rate_i)}",
     ]
     try:
-        p_th = crossover_pth(params, em)
+        p_th = crossover_from_rates(rate_n0, rate_i)
     except NoCrossoverError:
         lines.append("status=no-crossover")
     else:
@@ -210,22 +233,20 @@ def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
     lines = []
     failures = 0
     total = 0
-    for p in spec.p_grid:
-        params = spec.params_at(p)
-        for scheme in spec.schemes:
-            theory = rate_for(scheme, params, em)
-            result = simulate(params, em, scheme, cfg)
-            stderr = result.avg_se_stderr
-            diff = abs(result.avg_se - theory)
-            tol = max(0.005, 3.0 * stderr)
-            ok = diff <= tol
-            total += 1
-            failures += 0 if ok else 1
-            lines.append(
-                f"p={_fmt(p)} scheme={scheme.value} theory={_fmt(theory)} "
-                f"sim={_fmt(result.avg_se)} diff={_fmt(diff)} "
-                f"stderr={_fmt(stderr)} tol={_fmt(tol)} "
-                f"{'PASS' if ok else 'FAIL'}")
+    for p, params, policy in _sweep(spec, em):
+        theory = policy_rate(policy, params)
+        result = simulate_policy(policy, params, em, cfg)
+        stderr = result.avg_se_stderr
+        diff = abs(result.avg_se - theory)
+        tol = max(0.005, 3.0 * stderr)
+        ok = diff <= tol
+        total += 1
+        failures += 0 if ok else 1
+        lines.append(
+            f"p={_fmt(p)} scheme={policy.scheme.value} theory={_fmt(theory)} "
+            f"sim={_fmt(result.avg_se)} diff={_fmt(diff)} "
+            f"stderr={_fmt(stderr)} tol={_fmt(tol)} "
+            f"{'PASS' if ok else 'FAIL'}")
     lines.append(f"verified {total - failures}/{total} rows"
                  + ("" if failures == 0 else f", {failures} FAILED"))
     return "\n".join(lines) + "\n", failures == 0
@@ -254,7 +275,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="write output here instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="impulsewf",
         description="Water-filling adaptation sweeps for a Rayleigh-faded "
@@ -348,26 +371,36 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
-    if args.command == "theory":
-        _emit(cmd_theory(spec), spec.out)
-    elif args.command == "simulate":
-        _emit(cmd_simulate(spec), spec.out)
-    elif args.command == "crossover":
-        _emit(cmd_crossover(spec), spec.out)
-    else:
-        text, ok = cmd_verify(spec)
-        _emit(text, spec.out)
-        if not ok:
-            return 2
-    return 0
+    try:
+        if args.command == "theory":
+            text, ok = cmd_theory(spec), True
+        elif args.command == "simulate":
+            text, ok = cmd_simulate(spec), True
+        elif args.command == "crossover":
+            text, ok = cmd_crossover(spec), True
+        else:
+            text, ok = cmd_verify(spec)
+    except (ValueError, ConvergenceError) as exc:
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
+        return 1
+    _emit(text, spec.out)
+    return 0 if ok else 2
 
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

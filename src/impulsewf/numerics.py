@@ -1,32 +1,33 @@
-"""Special functions and scalar solvers behind the closed-form rate expressions.
+"""Vectorised solve of the water-filling cutoff equation.
 
-Everything here is a pure function of its inputs, so concurrent use from
-multiple threads is safe.
+Every cutoff in the package solves the power budget of an exponential
+mixture,
+
+    B(t) = sum_j w_j * (exp(-t/m_j)/t - E1(t/m_j)/m_j) = k,
+
+the average of (1/t - 1/gamma)+ over a SINR with P(gamma > g) =
+sum_j w_j exp(-g/m_j). ``solve_cutoffs`` solves many of these equations
+at once, one row per cutoff. Everything here is a pure function of its
+inputs, so concurrent use from multiple threads is safe.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
-from scipy.integrate import quad
+import numpy as np
+from scipy.special import exp1
 
 __all__ = [
-    "Bracket",
-    "NoSignChangeError",
     "ConvergenceError",
-    "exp_integral_e1",
-    "expand_bracket",
-    "solve_monotone_root",
-    "integrate_semi_infinite",
+    "budget_rows",
+    "solve_cutoffs",
 ]
 
-EULER_GAMMA = 0.5772156649015328606
-
-
-class NoSignChangeError(ValueError):
-    """The target function has the same sign at both bracket endpoints."""
+# A Newton step below this (in log t, so relative in t) ends the iteration.
+STEP_TOL = 1e-13
+MAX_ITER = 200
+# Floor on t/m at the start. z (1 + z) > 1 for z >= 0.62, so
+# exp(-z) / (z (1 + z)) <= c at z = max(log(1/c), 0.62) for every c > 0.
+Z_FLOOR = 0.62
 
 
 class ConvergenceError(RuntimeError):
@@ -43,140 +44,117 @@ class ConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Interval [lo, hi], 0 < lo < hi, across which a root is trapped."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lo < self.hi):
-            raise ValueError(f"bracket requires 0 < lo < hi, got [{self.lo}, {self.hi}]")
+def _scaled_budget_and_tail(t, weights, means):
+    """t * B(t) and P(gamma > t) per row, for a column of cutoffs ``t``."""
+    z = t[:, None] / means
+    tail = weights * np.exp(-z)
+    spend = tail - weights * z * exp1(z)
+    return spend.sum(axis=1), tail.sum(axis=1)
 
 
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = integral of exp(-t)/t over [x, inf).
+def budget_rows(t, weights, means) -> np.ndarray:
+    """B(t) per row: the average spend (1/t - 1/gamma)+ of each mixture.
 
-    Power series below 1, modified-Lentz continued fraction at and above 1;
-    both branches reach ~1e-14 relative accuracy in double precision.
-    Underflows gracefully to 0.0 once exp(-x) is subnormal (x > ~745).
+    ``weights`` and ``means`` have one row per mixture and one column per
+    exponential component; ``t`` has one entry per row.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    spend, _ = _scaled_budget_and_tail(t, np.asarray(weights, dtype=float),
+                                       np.asarray(means, dtype=float))
+    return spend / t
+
+
+def _validate(weights, means, k):
+    w = np.asarray(weights, dtype=float)
+    m = np.asarray(means, dtype=float)
+    k = np.asarray(k, dtype=float).reshape(-1)
+    if w.ndim != 2 or w.shape != m.shape or w.shape[0] != k.size:
+        raise ValueError(
+            f"weights {w.shape} and means {m.shape} must be (rows, components) "
+            f"with one budget constant per row, got {k.size}")
+    if not np.all(np.isfinite(k) & (k > 0.0)):
+        raise ValueError(f"budget constants k must be positive and finite, got {k}")
+    if not np.all(np.isfinite(w) & (w >= 0.0)) or not np.all(w.sum(axis=1) > 0.0):
+        raise ValueError("weights must be finite, non-negative and not all zero in a row")
+    if not np.all(np.isfinite(m) & (m > 0.0)):
+        raise ValueError("component means must be positive and finite")
+    return w, m, k
+
+
+def _start_above_root(w, m, k):
+    """A cutoff above each row's root, near it when one component dominates.
+
+    E2(z) < exp(-z)/(1 + z) bounds component j's share of B(t) by
+    w_j exp(-z)/(z (1 + z) m_j) with z = t/m_j. At z = max(log(1/c), Z_FLOOR),
+    c = k m_j / (C w_j), that bound is at most k / C, so with C the number
+    of weighted components B(t) <= k once t reaches the largest such m_j z.
+    """
+    components = np.count_nonzero(w > 0.0, axis=1)[:, None]
+    c = k[:, None] * m / (components * w)
+    z = np.maximum(-np.log(c), Z_FLOOR)
+    return np.max(np.where(w > 0.0, m * z, 0.0), axis=1)
+
+
+def solve_cutoffs(weights, means, k) -> np.ndarray:
+    """Cutoff t of every row, where B(t) = k for that row's mixture.
+
+    Safeguarded Newton iteration on log B(t) = log k in log t, so one
+    relative tolerance serves every scale and no fixed bracket is needed.
+    B decreases from +inf to 0 and B(t) < 1/t, so t = 1/k lies above the
+    root; so does the point from ``_start_above_root``, and the iteration
+    starts at the lower of the two. The derivative is cheap:
+    dB/dt = -P(gamma > t)/t^2. Each row keeps the tightest bracket its
+    iterates have shown; as in Numerical Recipes' ``rtsafe``, a Newton
+    step that leaves the bracket, or is not under half the step before
+    last, becomes a bisection in log t, so the bracket keeps shrinking
+    where B bends the wrong way (mixtures with far-apart means). Rows stop
+    independently once a step moves t by less than STEP_TOL relative, so
+    a row's result does not depend on the other rows it is solved with.
 
     Parameters
     ----------
-    x : float
-        Evaluation point, must be > 0.
+    weights, means : array_like, shape (rows, components)
+        Exponential-mixture weights (>= 0) and means (> 0) per row.
+        Zero-weight components are allowed, for padding.
+    k : array_like, shape (rows,)
+        Positive budget constant per row.
     """
-    if not x > 0.0:
-        raise ValueError(f"exp_integral_e1 requires x > 0, got {x!r}")
-    if x < 1.0:
-        # E1(x) = -gamma - ln(x) + sum_{n>=1} (-1)^(n+1) x^n / (n * n!)
-        total = -EULER_GAMMA - math.log(x)
-        power = 1.0
-        sign = 1.0
-        for n in range(1, 64):
-            power *= x / n
-            contribution = sign * power / n
-            total += contribution
-            if abs(contribution) <= 1e-17 * abs(total):
-                return total
-            sign = -sign
-        raise ConvergenceError("E1 series did not converge", iterations=64)
-    # E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...))))
-    b = x + 1.0
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for i in range(1, 256):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x)
-    raise ConvergenceError("E1 continued fraction did not converge", iterations=256)
-
-
-def expand_bracket(f: Callable[[float], float], lo: float = 1e-8,
-                   hi: float = 1.0, hi_cap: float = 1e6) -> Bracket:
-    """Grow [lo, hi] by doubling hi until f changes sign across it.
-
-    Suits decreasing-through-zero targets such as the water-filling budget
-    equations, whose left side falls from +inf to 0.
-    """
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0 or f_hi == 0.0:
-        return Bracket(lo, hi)
-    while (f_lo > 0.0) == (f_hi > 0.0):
-        if hi >= hi_cap:
-            raise NoSignChangeError(
-                f"no sign change of target on [{lo}, {hi_cap}]: "
-                f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}")
-        hi = min(2.0 * hi, hi_cap)
-        f_hi = f(hi)
-        if f_hi == 0.0:
-            break
-    return Bracket(lo, hi)
-
-
-def solve_monotone_root(f: Callable[[float], float], bracket: Bracket,
-                        tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of a continuous, strictly monotone f on a sign-changing bracket.
-
-    Bisection/secant hybrid: secant steps are taken while they keep shrinking
-    the bracket, with a forced bisection whenever progress stalls, so the
-    interval provably collapses. Returns x with |x - root| <= tol.
-    Deterministic: identical inputs give bit-identical output.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    a, b = bracket.lo, bracket.hi
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoSignChangeError(
-            f"no sign change on [{a}, {b}]: f(lo)={fa:.3e}, f(hi)={fb:.3e}")
-    force_bisect = False
-    for _ in range(max_iter):
-        if b - a <= 2.0 * tol:
-            return 0.5 * (a + b)
-        width_before = b - a
-        x = a - fa * (b - a) / (fb - fa)
-        if force_bisect or not (a < x < b):
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fa > 0.0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        # A secant step that failed to halve the bracket gets a bisection next.
-        force_bisect = (b - a) > 0.5 * width_before
+    w, m, k = _validate(weights, means, k)
+    log_k = np.log(k)
+    n = k.size
+    out = np.empty(n)
+    hi = 1.0 / k
+    lo = np.zeros(n)
+    # Sizes (in log t) of the last step and the one before it.
+    last = np.full(n, np.inf)
+    before = np.full(n, np.inf)
+    rows = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.minimum(hi, _start_above_root(w, m, k))
+        for _ in range(MAX_ITER):
+            if not rows.size:
+                return out
+            spend, tail = _scaled_budget_and_tail(t, w, m)
+            # log(B/k): positive left of the root, negative right of it.
+            gap = np.log(spend) - np.log(t) - log_k
+            lo = np.where(gap > 0.0, t, lo)
+            hi = np.where(gap < 0.0, t, hi)
+            # Newton in log t, with d log B / d log t = -P(gamma > t) / (t B).
+            step = gap * spend / tail
+            newton = t * np.exp(step)
+            accept = (np.abs(step) <= STEP_TOL) | (
+                (newton > lo) & (newton < hi) & (np.abs(step) <= 0.5 * before))
+            bisect = np.where(lo > 0.0, np.sqrt(lo) * np.sqrt(hi), t / np.e)
+            t_next = np.where(accept, newton, bisect)
+            moved = np.abs(np.log(t_next / t))
+            done = moved <= STEP_TOL
+            t, before, last = t_next, last, moved
+            if done.any():
+                out[rows[done]] = t[done]
+                keep = ~done
+                rows, t, lo, hi = rows[keep], t[keep], lo[keep], hi[keep]
+                before, last = before[keep], last[keep]
+                w, m, log_k = w[keep], m[keep], log_k[keep]
     raise ConvergenceError(
-        f"root not located to tol={tol} on [{a}, {b}]", iterations=max_iter)
-
-
-def integrate_semi_infinite(f: Callable[[float], float], lower: float,
-                            rel_tol: float = 1e-10) -> float:
-    """Adaptive quadrature of f over [lower, inf).
-
-    Intended for smooth, absolutely integrable, exponentially decaying
-    integrands. Test/oracle helper only: production closed forms never call
-    this. Delegates to QUADPACK and verifies the reported error estimate.
-    """
-    if lower < 0.0:
-        raise ValueError(f"lower limit must be >= 0, got {lower}")
-    out = quad(f, lower, math.inf, epsabs=1e-14, epsrel=rel_tol,
-               limit=400, full_output=1)
-    value, abserr = out[0], out[1]
-    if abserr > max(1e-9 * abs(value), 1e-12):
-        raise ConvergenceError("semi-infinite quadrature did not converge",
-                               error_estimate=abserr)
-    return value
+        f"cutoff solve did not settle for {rows.size} of {n} rows",
+        iterations=MAX_ITER)

@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adaptation import (ErrorModel, PolicyDomain, Scheme,
+from .adaptation import (ErrorModel, Policy, PolicyDomain, Scheme,
                          impulse_ber_under_conventional, make_policy,
                          outage_prob_conventional, wf_power_fraction,
                          wf_rate_bits)
@@ -53,11 +53,13 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "governing_sinr",
+    "simulate_policy",
     "simulate",
     "aggregate",
     "chunk_seed",
     "chunk_configs",
     "simulate_chunked",
+    "policy_outage",
     "expected_outage",
 ]
 
@@ -151,17 +153,19 @@ def _draw_states(params: ChannelParams, cfg: SimConfig,
     return h, governing, actual
 
 
-def simulate(params: ChannelParams, em: ErrorModel, scheme: Scheme,
-             cfg: SimConfig) -> SimResult:
-    """Run one deterministic Monte Carlo stream and measure the policy.
+def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
+                    cfg: SimConfig) -> SimResult:
+    """Run one deterministic Monte Carlo stream and measure a solved policy.
 
-    Per symbol: adapt power and rate on the governing information, score
-    the symbol against its actual burst state. ``avg_se`` averages the
-    rate of transmitted, non-outage symbols over all symbols;
-    ``mean_power_frac`` averages the spent power fraction over all symbols
-    including the zero-power ones below the cutoff.
+    ``policy`` must have been solved for this link (see
+    :func:`impulsewf.adaptation.policy_rate`). Per symbol: adapt power and
+    rate on the governing information, score the symbol against its
+    actual burst state. ``avg_se`` averages the rate of transmitted,
+    non-outage symbols over all symbols; ``mean_power_frac`` averages the
+    spent power fraction over all symbols including the zero-power ones
+    below the cutoff.
     """
-    policy = make_policy(scheme, params, em)
+    scheme = policy.scheme
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     h, governing, actual = _draw_states(params, cfg, rng)
     n = h.size
@@ -206,6 +210,12 @@ def simulate(params: ChannelParams, em: ErrorModel, scheme: Scheme,
                 (int(tallies[2]), int(tallies[3]))),
         seed_used=cfg.seed,
     )
+
+
+def simulate(params: ChannelParams, em: ErrorModel, scheme: Scheme,
+             cfg: SimConfig) -> SimResult:
+    """Solve ``scheme``'s cutoff on this link and run :func:`simulate_policy`."""
+    return simulate_policy(make_policy(scheme, params, em), params, em, cfg)
 
 
 def aggregate(results: list[SimResult]) -> SimResult:
@@ -270,22 +280,23 @@ def simulate_chunked(params: ChannelParams, em: ErrorModel, scheme: Scheme,
 
     Serial and thread-parallel execution produce bit-identical results
     because every chunk owns a private generator and the merge happens in
-    chunk order.
+    chunk order. The cutoff is solved once and shared by the chunks.
     """
     configs = chunk_configs(cfg, n_chunks)
+    policy = make_policy(scheme, params, em)
     if parallel:
         with ThreadPoolExecutor(max_workers=min(n_chunks, 8)) as pool:
-            results = list(pool.map(lambda c: simulate(params, em, scheme, c),
-                                    configs))
+            results = list(pool.map(
+                lambda c: simulate_policy(policy, params, em, c), configs))
     else:
-        results = [simulate(params, em, scheme, c) for c in configs]
+        results = [simulate_policy(policy, params, em, c) for c in configs]
     return replace(aggregate(results), seed_used=cfg.seed)
 
 
-def expected_outage(scheme: Scheme, params: ChannelParams, em: ErrorModel,
-                    mode: SimMode = SimMode.PER_SYMBOL,
-                    block_len: int = 4) -> float:
-    """Outage fraction the sampling law predicts for a scheme.
+def policy_outage(policy: Policy, params: ChannelParams, em: ErrorModel,
+                  mode: SimMode = SimMode.PER_SYMBOL,
+                  block_len: int = 4) -> float:
+    """Outage fraction the sampling law predicts for a solved policy.
 
     Conventional: the governing/actual mismatch probability p(1-p), scaled
     by (block_len - 1)/block_len in block mode where the first symbol of a
@@ -297,10 +308,17 @@ def expected_outage(scheme: Scheme, params: ChannelParams, em: ErrorModel,
     if not hit_ber > em.target_ber + OUTAGE_GUARD:
         return 0.0
     p = params.impulse_prob
-    if scheme is Scheme.CONVENTIONAL:
+    if policy.scheme is Scheme.CONVENTIONAL:
         scale = (block_len - 1) / block_len if mode is SimMode.BLOCK else 1.0
         return outage_prob_conventional(p) * scale
-    if scheme is Scheme.AGGRESSIVE:
-        policy = make_policy(scheme, params, em)
+    if policy.scheme is Scheme.AGGRESSIVE:
         return p * math.exp(-policy.threshold)
     return 0.0
+
+
+def expected_outage(scheme: Scheme, params: ChannelParams, em: ErrorModel,
+                    mode: SimMode = SimMode.PER_SYMBOL,
+                    block_len: int = 4) -> float:
+    """Solve ``scheme``'s cutoff on this link and apply :func:`policy_outage`."""
+    return policy_outage(make_policy(scheme, params, em), params, em,
+                         mode, block_len)

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf.adaptation import (ErrorModel, PolicyDomain, Scheme,
                                   budget_lhs, crossover_pth,
@@ -19,12 +20,11 @@ from impulsewf.adaptation import (ErrorModel, PolicyDomain, Scheme,
                                   rate_aggressive, rate_conservative,
                                   rate_conventional, rate_for,
                                   wf_power_fraction)
-from impulsewf.channel import (ChannelParams, DensityKind, SinrDensity,
-                               density_at)
+from impulsewf.channel import ChannelParams, DensityKind, SinrDensity
 from impulsewf.cli import cmd_simulate, cmd_theory, parse_csv, resolve_spec
-from impulsewf.numerics import exp_integral_e1, integrate_semi_infinite
 from impulsewf.simulate import (SimConfig, aggregate, chunk_configs, simulate,
                                 simulate_chunked)
+from oracles import density_at, integrate_semi_infinite
 
 EM = ErrorModel(target_ber=1e-3)
 GRID = [i / 10 for i in range(11)]

@@ -4,19 +4,22 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf.adaptation import (LOG2_E, ErrorModel, NoCrossoverError,
                                   Policy, PolicyDomain, Scheme,
-                                  WaterfillConstants, _crossover_from_rates,
-                                  budget_lhs, crossover_pth,
-                                  impulse_ber_under_conventional, make_policy,
-                                  outage_prob_conventional, qam_ber,
+                                  WaterfillConstants, budget_lhs,
+                                  crossover_from_rates, crossover_pth,
+                                  impulse_ber_under_conventional,
+                                  make_policies, make_policy,
+                                  outage_prob_conventional, policy_rate, qam_ber,
                                   rate_aggressive, rate_conservative,
                                   rate_conventional, solve_threshold,
                                   wf_power_fraction, wf_rate_bits)
-from impulsewf.channel import (ChannelParams, DensityKind, SinrDensity,
-                               density_at)
-from impulsewf.numerics import exp_integral_e1, integrate_semi_infinite
+from impulsewf.channel import ChannelParams, DensityKind, SinrDensity
+from oracles import density_at, integrate_semi_infinite
 
 EM = ErrorModel(target_ber=1e-3)
 
@@ -274,4 +277,92 @@ class TestCrossover:
 
     def test_no_crossover_raises(self):
         with pytest.raises(NoCrossoverError):
-            _crossover_from_rates(0.3, 0.4)
+            crossover_from_rates(0.3, 0.4)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None)
+snr_dbs = st.floats(min_value=-100.0, max_value=120.0)
+inr_dbs = st.floats(min_value=-30.0, max_value=100.0)
+probs = st.floats(min_value=0.0, max_value=1.0)
+
+
+def density_of(policy, params):
+    if policy.domain is PolicyDomain.SINR:
+        return SinrDensity.for_params(params, DensityKind.MIXTURE)
+    return SinrDensity.unit_exponential()
+
+
+class TestCutoffProperties:
+    """Over the whole SNR range [-100, 120] dB and INR range [-30, 100] dB."""
+
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, inr_dbs, probs)
+    def test_budget_residual(self, snr_db, inr_db, p):
+        params = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
+        for scheme in Scheme:
+            policy = make_policy(scheme, params, EM)
+            spend = budget_lhs(density_of(policy, params), policy.threshold)
+            assert abs(spend / policy.k_used - 1.0) <= 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, inr_dbs)
+    def test_conventional_endpoints_match_simple_schemes(self, snr_db, inr_db):
+        at_0 = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=0.0)
+        at_1 = replace(at_0, impulse_prob=1.0)
+        conv_0 = make_policy(Scheme.CONVENTIONAL, at_0, EM)
+        conv_1 = make_policy(Scheme.CONVENTIONAL, at_1, EM)
+        aggressive = make_policy(Scheme.AGGRESSIVE, at_0, EM)
+        conservative = make_policy(Scheme.CONSERVATIVE, at_1, EM)
+        # The same cutoff, once on the SINR and once on the fading power.
+        assert conv_0.threshold / at_0.mean_sinr_clean == \
+            pytest.approx(aggressive.threshold, rel=1e-12)
+        assert conv_1.threshold / at_1.mean_sinr_impulse == \
+            pytest.approx(conservative.threshold, rel=1e-12)
+        assert policy_rate(conv_0, at_0) == \
+            pytest.approx(policy_rate(aggressive, at_0), rel=1e-12)
+        assert policy_rate(conv_1, at_1) == \
+            pytest.approx(policy_rate(conservative, at_1), rel=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21))
+    def test_grid_solve_matches_point_solves(self, snr_db, inr_db, grid):
+        links = [ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
+                 for p in grid]
+        requests = [(scheme, link) for link in links for scheme in Scheme]
+        together = make_policies(requests, EM)
+        for (scheme, link), policy in zip(requests, together):
+            alone = make_policy(scheme, link, EM)
+            assert policy.threshold == pytest.approx(alone.threshold, rel=1e-13)
+            assert (policy.k_used, policy.domain) == (alone.k_used, alone.domain)
+
+
+class TestPolicyRates:
+    def test_matches_scalar_rates(self):
+        for config in (SET_A, SET_B, SET_C):
+            for p in (0.0, 0.4, 1.0):
+                params = params_for(config, p)
+                for scheme, rate in ((Scheme.CONVENTIONAL, rate_conventional),
+                                     (Scheme.AGGRESSIVE, rate_aggressive),
+                                     (Scheme.CONSERVATIVE, rate_conservative)):
+                    policy = make_policy(scheme, params, EM)
+                    assert policy_rate(policy, params) == rate(params, EM)
+
+    def test_one_aggressive_policy_serves_every_p(self):
+        policy = make_policy(Scheme.AGGRESSIVE, params_for(SET_B, 0.0), EM)
+        for p in (0.1, 0.5, 0.9):
+            params = params_for(SET_B, p)
+            assert policy_rate(policy, params) == rate_aggressive(params, EM)
+
+    def test_empty_request_list(self):
+        assert make_policies([], EM) == []
+
+    def test_extreme_snr_rates_are_finite_and_ordered(self):
+        # Both ends of the range used to fail the bracketed solve.
+        low = ChannelParams(snr_db=-100.0, inr_db=20.0, impulse_prob=0.5)
+        high = ChannelParams(snr_db=120.0, inr_db=20.0, impulse_prob=0.5)
+        for scheme in Scheme:
+            rates = [policy_rate(make_policy(scheme, params, EM), params)
+                     for params in (low, high)]
+            assert all(math.isfinite(r) and r >= 0.0 for r in rates)
+            assert rates[0] < rates[1]

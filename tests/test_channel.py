@@ -1,13 +1,15 @@
 """Channel parameterisation, SINR densities, and block sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from impulsewf.channel import (ChannelParams, DensityKind, SinrDensity,
-                               db_to_linear, density_at, sample_block,
-                               sample_fading, sinr_of)
-from impulsewf.numerics import integrate_semi_infinite
+                               db_to_linear, sample_block, sample_fading,
+                               sinr_of)
+from oracles import density_at, integrate_semi_infinite
 
 
 def params_a(p=0.5):
@@ -40,6 +42,27 @@ class TestChannelParams:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             ChannelParams(snr_db=0.0, inr_db=0.0, impulse_prob=0.5, avg_power=0.0)
+
+    @pytest.mark.parametrize("field", ["snr_db", "inr_db", "impulse_prob"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        values = {"snr_db": 0.0, "inr_db": 0.0, "impulse_prob": 0.5, field: value}
+        with pytest.raises(ValueError):
+            ChannelParams(**values)
+
+    def test_rejects_minus_inf_snr(self):
+        with pytest.raises(ValueError):
+            ChannelParams(snr_db=-math.inf, inr_db=0.0, impulse_prob=0.5)
+
+    def test_minus_inf_inr_means_no_interference(self):
+        params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=0.5)
+        assert params.mean_sinr_impulse == params.mean_sinr_clean
+
+    @pytest.mark.parametrize("snr_db,inr_db", [(4000.0, 0.0), (0.0, 4000.0),
+                                               (-300.0, 3000.0)])
+    def test_rejects_values_beyond_float_range(self, snr_db, inr_db):
+        with pytest.raises(ValueError):
+            ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=0.5)
 
 
 class TestSinrDensity:

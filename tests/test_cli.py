@@ -1,11 +1,19 @@
-"""CLI behaviour: CSV determinism, golden sweep values, exit codes, config."""
+"""CLI behaviour: CSV determinism, golden sweep values, exit codes, config,
+errors and repeated calls in one process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import impulsewf
+from impulsewf import cli
 from impulsewf.cli import (CSV_HEADER, main, parse_csv, resolve_spec,
                            rows_to_csv)
+from impulsewf.numerics import ConvergenceError
 
 CONV_A = [0.4842, 0.4246, 0.3707, 0.3237, 0.2845, 0.2544,
           0.2349, 0.2281, 0.2360, 0.2612, 0.3064]
@@ -216,3 +224,92 @@ class TestConfigResolution:
                                      "out": None})()
         spec = resolve_spec(parser_args)
         assert [s.value for s in spec.schemes] == ["conventional", "conservative"]
+
+
+def run_module(*args):
+    """Run ``python -m impulsewf.cli`` (or other code) in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(impulsewf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestRepeatedCalls:
+    # Flags set in one call and left out of the next, so a default that
+    # leaked from an earlier call would change the later output.
+    SEQUENCE = [
+        ["theory", "--snr-db", "10", "--mu-db", "20", "--schemes", "aggressive"],
+        ["theory"],
+        ["crossover", "--mu-db", "10"],
+        ["simulate", "--symbols", "2000", "--seed", "3", "--p-grid", "0.5",
+         "--mode", "block", "--block-len", "2"],
+        ["simulate", "--symbols", "2000", "--p-grid", "0.5"],
+        ["crossover"],
+        ["theory", "--pb", "1e-5", "--p-grid", "0,1"],
+        ["theory", "--p-grid", "0,1"],
+        ["verify", "--symbols", "100", "--p-grid", "0.2"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_sequence_matches_calls_made_alone(self, capsys):
+        in_sequence = [run(capsys, argv) for argv in self.SEQUENCE]
+        alone = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            alone.append(run(capsys, argv))
+        assert in_sequence == alone
+        assert all(code == 0 for code, _, _ in in_sequence)
+
+
+class TestErrors:
+    def test_nan_inr_is_one_line_exit_1(self, capsys):
+        code, out, err = run(capsys, ["theory", "--mu-db", "nan"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "inr_db" in err
+
+    @pytest.mark.parametrize("flag", ["--snr-db", "--mu-db"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_link_rejected(self, capsys, flag, value):
+        code, _, err = run(capsys, ["crossover", flag, value])
+        assert code == 1
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("exc", [ValueError("bad\nvalue"),
+                                     ConvergenceError("stuck", iterations=9)])
+    def test_computation_errors_exit_1(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "make_policies", fail)
+        code, out, err = run(capsys, ["theory"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_module_entry_point_without_traceback(self):
+        # Exit 1 shows that ``python -m impulsewf.cli`` reaches main().
+        done = run_module("-m", "impulsewf.cli", "theory", "--mu-db", "nan")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1
+
+
+class TestRangeEdges:
+    @pytest.mark.parametrize("snr_db", ["120", "-100"])
+    def test_theory_at_snr_range_ends(self, capsys, snr_db):
+        code, out, err = run(capsys, ["theory", "--snr-db", snr_db, "--mu-db", "30"])
+        assert code == 0, err
+        rows = parse_csv(out)
+        assert len(rows) == 33
+        assert all(r.rate_theory >= 0.0 for r in rows)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    done = run_module("-c", "import sys, impulsewf.cli; "
+                            "print('scipy.integrate' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

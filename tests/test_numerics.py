@@ -1,127 +1,183 @@
-"""Special-function and solver checks, anchored on independent oracles."""
+"""The vectorised cutoff solve and the quadrature oracle, checked independently."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import exp1
 
-from impulsewf.numerics import (Bracket, NoSignChangeError,
-                                exp_integral_e1, expand_bracket,
-                                integrate_semi_infinite, solve_monotone_root)
+from impulsewf.adaptation import ErrorModel
+from impulsewf.numerics import budget_rows, solve_cutoffs
+from oracles import integrate_semi_infinite
+
+K_SINR = ErrorModel(target_ber=1e-3).k_sinr
 
 
-def bisect_oracle(f, lo, hi, tol=1e-12, max_iter=200):
-    """Plain bisection, independent of the production solver."""
-    f_lo = f(lo)
-    assert (f_lo > 0) != (f(hi) > 0)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == (f_lo > 0):
-            lo = mid
-            f_lo = f(lo)
-        else:
-            hi = mid
-        if hi - lo <= 2 * tol:
-            break
-    return 0.5 * (lo + hi)
+def mp_cutoff(weights, means, k):
+    """Cutoff from mpmath at 40 digits: a bracketing solve of log B = log k
+    in log t, with B written through mpmath's own E1."""
+    with mpmath.workdps(40):
+        pairs = [(mpmath.mpf(w), mpmath.mpf(m)) for w, m in zip(weights, means)
+                 if w > 0.0]
+        log_k = mpmath.log(mpmath.mpf(k))
+
+        def gap(u):
+            t = mpmath.exp(u)
+            spend = sum(w * (mpmath.exp(-t / m) / t - mpmath.e1(t / m) / m)
+                        for w, m in pairs)
+            return mpmath.log(spend) - log_k
+
+        # B(t) < 1/t puts the root below 1/k; B -> inf as t -> 0.
+        hi = -log_k
+        lo = hi - 20
+        while gap(lo) < 0:
+            lo -= 20
+        return float(mpmath.exp(mpmath.findroot(gap, (lo, hi), solver="anderson")))
+
+
+def link_rows(snr_db, inr_db, p):
+    """(weights, means, k) of the conventional, aggressive and conservative
+    cutoffs of one link."""
+    snr = 10.0 ** (snr_db / 10.0)
+    inr = 10.0 ** (inr_db / 10.0)
+    return [((1.0 - p, p), (snr, snr / (1.0 + inr)), K_SINR),
+            ((1.0, 0.0), (1.0, 1.0), K_SINR * snr),
+            ((1.0, 0.0), (1.0, 1.0), K_SINR * snr / (1.0 + inr))]
+
+
+def solve(rows):
+    weights, means, k = zip(*rows)
+    return solve_cutoffs(weights, means, k)
 
 
 class TestExpIntegralE1:
+    """The E1 the cutoff solve calls, scipy.special.exp1, on the range the
+    solver feeds it."""
+
     def test_value_at_one(self):
-        assert exp_integral_e1(1.0) == pytest.approx(0.2193839344, abs=1e-9)
+        assert exp1(1.0) == pytest.approx(0.2193839344, abs=1e-9)
 
     def test_value_at_half(self):
-        assert exp_integral_e1(0.5) == pytest.approx(0.5597735948, abs=1e-9)
+        assert exp1(0.5) == pytest.approx(0.5597735948, abs=1e-9)
 
     def test_against_quadrature_oracle(self):
         # Independent route: adaptive quadrature of the defining integral.
         for x in (0.1, 0.5, 1.0, 2.0, 5.0):
             oracle = integrate_semi_infinite(lambda t: math.exp(-t) / t, x)
-            assert abs(exp_integral_e1(x) - oracle) <= 1e-8
+            assert abs(exp1(x) - oracle) <= 1e-8
 
     def test_sandwich_at_ten(self):
-        value = exp_integral_e1(10.0)
+        value = exp1(10.0)
         assert math.exp(-10.0) / 11.0 < value < math.exp(-10.0) / 10.0
 
     @pytest.mark.parametrize("x", np.logspace(-3, math.log10(50.0), 40).tolist())
     def test_sandwich_bounds_on_grid(self, x):
-        value = exp_integral_e1(x)
+        value = exp1(x)
         assert math.exp(-x) / (x + 1.0) < value < math.exp(-x) / x
 
     def test_strictly_decreasing_and_positive(self):
         grid = np.logspace(-3, math.log10(50.0), 60)
-        values = [exp_integral_e1(float(x)) for x in grid]
+        values = [exp1(float(x)) for x in grid]
         assert all(v > 0.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -1e-12])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            exp_integral_e1(x)
-
     def test_branch_junction_is_smooth(self):
-        below = exp_integral_e1(1.0 - 1e-12)
-        above = exp_integral_e1(1.0 + 1e-12)
+        below = exp1(1.0 - 1e-12)
+        above = exp1(1.0 + 1e-12)
         assert below == pytest.approx(above, rel=1e-10)
 
     def test_underflow_far_tail(self):
-        assert exp_integral_e1(1e6) == 0.0
+        assert exp1(1e6) == 0.0
 
 
-class TestSolveMonotoneRoot:
-    def test_linear_root(self):
-        root = solve_monotone_root(lambda x: x - 2.0, Bracket(1.0, 3.0), tol=1e-12)
-        assert root == pytest.approx(2.0, abs=1e-12)
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("snr_db,inr_db,p", [
+        (0.0, 0.0, 0.5),      # set A
+        (10.0, 20.0, 0.3),    # set B
+        (120.0, 100.0, 0.5),  # top of the SNR range
+        (-100.0, -30.0, 0.5),  # bottom of the SNR range
+        (-100.0, 100.0, 0.999),
+        (40.0, 60.0, 1e-6),
+    ])
+    def test_cutoffs_match_mpmath(self, snr_db, inr_db, p):
+        rows = link_rows(snr_db, inr_db, p)
+        for got, (weights, means, k) in zip(solve(rows), rows):
+            assert got == pytest.approx(mp_cutoff(weights, means, k), rel=1e-12)
 
-    def test_threshold_equation_unit_k(self):
-        # Forward-evaluate the target at 1 first, then invert.
-        k = math.exp(-1.0) - exp_integral_e1(1.0)
-        f = lambda t: math.exp(-t) / t - exp_integral_e1(t) - k
-        root = solve_monotone_root(f, Bracket(0.1, 10.0), tol=1e-12)
-        assert root == pytest.approx(1.0, abs=1e-9)
+    def test_aggressive_at_120_db(self):
+        # A fixed bracket starting at 1e-8 cannot hold this root, ~3.5e-12.
+        weights, means, k = link_rows(120.0, 0.0, 0.0)[1]
+        got = solve_cutoffs([weights], [means], [k])[0]
+        assert got < 1e-11
+        assert got == pytest.approx(mp_cutoff(weights, means, k), rel=1e-12)
 
-    def test_threshold_equation_against_bisection_oracle(self):
-        f = lambda t: math.exp(-t) / t - exp_integral_e1(t) - 0.283105
-        root = solve_monotone_root(f, Bracket(0.01, 50.0), tol=1e-12)
-        oracle = bisect_oracle(f, 0.01, 50.0, tol=1e-12)
-        assert abs(root - oracle) <= 1e-9
-        assert root == pytest.approx(0.758, abs=5e-4)
+    def test_conventional_at_minus_100_db(self):
+        # Root near 1.8e-9, where exp(-t/mean) underflows at t = 1/k.
+        weights, means, k = link_rows(-100.0, 20.0, 0.4)[0]
+        got = solve_cutoffs([weights], [means], [k])[0]
+        assert got < 1e-8
+        assert got == pytest.approx(mp_cutoff(weights, means, k), rel=1e-12)
+
+
+class TestSolveCutoffs:
+    def test_forward_evaluated_unit_root(self):
+        k = math.exp(-1.0) - exp1(1.0)
+        assert solve_cutoffs([[1.0]], [[1.0]], [k])[0] == pytest.approx(1.0, rel=1e-14)
+
+    def test_budget_residual_is_at_rounding_level(self):
+        rows = [row for snr in (-30.0, 0.0, 30.0) for inr in (0.0, 40.0)
+                for row in link_rows(snr, inr, 0.3)]
+        weights, means, k = zip(*rows)
+        t = solve_cutoffs(weights, means, k)
+        assert np.all(np.abs(budget_rows(t, weights, means) / np.array(k) - 1.0) <= 1e-13)
+
+    def test_rows_are_solved_independently(self):
+        rows = [row for snr in (-50.0, 0.0, 50.0) for row in link_rows(snr, 30.0, 0.7)]
+        together = solve(rows)
+        alone = [solve([row])[0] for row in rows]
+        assert together.tolist() == alone
+
+    def test_zero_weight_padding_changes_nothing(self):
+        padded = solve_cutoffs([[1.0, 0.0]], [[2.0, 1e-30]], [0.1])[0]
+        single = solve_cutoffs([[1.0]], [[2.0]], [0.1])[0]
+        assert padded == single
 
     def test_deterministic(self):
-        f = lambda t: math.exp(-t) / t - exp_integral_e1(t) - 0.05
-        bracket = Bracket(0.01, 50.0)
-        assert solve_monotone_root(f, bracket) == solve_monotone_root(f, bracket)
+        rows = link_rows(3.0, 17.0, 0.45)
+        assert solve(rows).tolist() == solve(rows).tolist()
 
-    def test_residual_bounded_by_tol_endpoints(self):
-        tol = 1e-10
-        f = lambda t: math.exp(-t) / t - exp_integral_e1(t) - 0.283105
-        root = solve_monotone_root(f, Bracket(0.01, 50.0), tol=tol)
-        assert abs(f(root)) <= max(abs(f(root - tol)), abs(f(root + tol)))
+    def test_far_apart_mixture_means(self):
+        # A burst weight near one with a million-fold INR bends B the wrong
+        # way for Newton; the safeguard still settles on the root.
+        weights, means, k = link_rows(0.0, 60.0, 0.999999)[0]
+        got = solve_cutoffs([weights], [means], [k])[0]
+        assert got == pytest.approx(mp_cutoff(weights, means, k), rel=1e-12)
 
-    def test_no_sign_change_error(self):
-        with pytest.raises(NoSignChangeError):
-            solve_monotone_root(lambda x: x + 5.0, Bracket(1.0, 3.0))
+    def test_empty_input(self):
+        assert solve_cutoffs(np.zeros((0, 2)), np.ones((0, 2)), []).shape == (0,)
 
-    def test_rejects_bad_tol(self):
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_budget_constant(self, k):
         with pytest.raises(ValueError):
-            solve_monotone_root(lambda x: x - 2.0, Bracket(1.0, 3.0), tol=0.0)
+            solve_cutoffs([[1.0]], [[1.0]], [k])
 
-    def test_bracket_validation(self):
+    @pytest.mark.parametrize("weights,means", [
+        ([[-0.1, 1.1]], [[1.0, 1.0]]),
+        ([[0.0, 0.0]], [[1.0, 1.0]]),
+        ([[math.nan, 1.0]], [[1.0, 1.0]]),
+        ([[0.5, 0.5]], [[1.0, 0.0]]),
+        ([[0.5, 0.5]], [[1.0, math.inf]]),
+    ])
+    def test_rejects_bad_mixture(self, weights, means):
         with pytest.raises(ValueError):
-            Bracket(2.0, 1.0)
+            solve_cutoffs(weights, means, [0.3])
+
+    def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            Bracket(0.0, 1.0)
-
-
-class TestExpandBracket:
-    def test_doubles_until_sign_change(self):
-        bracket = expand_bracket(lambda t: 10.0 - t, lo=1e-8, hi=1.0)
-        assert bracket.hi >= 10.0
-        assert (10.0 - bracket.lo > 0) != (10.0 - bracket.hi > 0)
-
-    def test_cap_raises(self):
-        with pytest.raises(NoSignChangeError):
-            expand_bracket(lambda t: 1.0 + t, lo=1e-8, hi=1.0, hi_cap=1e3)
+            solve_cutoffs([[1.0, 0.0]], [[1.0]], [0.3])
+        with pytest.raises(ValueError):
+            solve_cutoffs([[1.0]], [[1.0]], [0.3, 0.4])
 
 
 class TestIntegrateSemiInfinite:
@@ -137,7 +193,7 @@ class TestIntegrateSemiInfinite:
         # integral over [t, inf) of log2(g/t) exp(-g) dg = log2(e) * E1(t)
         value = integrate_semi_infinite(
             lambda g: math.log2(g / 1.0) * math.exp(-g), 1.0)
-        expected = math.log2(math.e) * exp_integral_e1(1.0)
+        expected = math.log2(math.e) * exp1(1.0)
         assert value == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.3165041142, abs=1e-9)
 
