@@ -5,46 +5,39 @@ Rayleigh block-fading link, a deterministic symbol-level Monte Carlo engine
 that measures them, and a CSV-emitting CLI for parameter sweeps.
 """
 
-from .adaptation import (ErrorModel, NoCrossoverError, Policy, PolicyDomain,
-                         Scheme, WaterfillConstants, crossover_from_rates,
-                         crossover_pth, impulse_ber_under_conventional,
-                         make_policies, make_policy, outage_prob_conventional,
-                         policy_rate, qam_ber, rate_aggressive,
-                         rate_conservative, rate_conventional, rate_for,
-                         solve_threshold, wf_power_fraction, wf_rate_bits)
-from .channel import (ChannelParams, CoherenceBlock, DensityKind, SinrDensity,
-                      db_to_linear, sample_block, sample_fading, sinr_of)
+from .adaptation import (ErrorModel, NoCrossoverError, Policy, Scheme,
+                         crossover_from_rates, crossover_pth, cutoff_rows,
+                         impulse_ber_under_conventional, make_policies,
+                         make_policy, outage_prob_conventional, policy_rate,
+                         qam_ber, rate_aggressive, rate_conservative,
+                         rate_conventional, rate_for, wf_power_fraction,
+                         wf_rate_bits)
+from .channel import ChannelParams, db_to_linear, sample_fading, sinr_of
 from .numerics import ConvergenceError, solve_cutoffs
 from .simulate import (SimConfig, SimMode, SimResult, aggregate, chunk_configs,
-                       chunk_seed, expected_outage, governing_sinr,
-                       policy_outage, simulate, simulate_chunked,
-                       simulate_policy)
+                       chunk_seed, expected_outage, policy_outage, simulate,
+                       simulate_chunked, simulate_policy)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
-    "CoherenceBlock",
     "ConvergenceError",
-    "DensityKind",
     "ErrorModel",
     "NoCrossoverError",
     "Policy",
-    "PolicyDomain",
     "Scheme",
     "SimConfig",
     "SimMode",
     "SimResult",
-    "SinrDensity",
-    "WaterfillConstants",
     "aggregate",
     "chunk_configs",
     "chunk_seed",
     "crossover_from_rates",
     "crossover_pth",
+    "cutoff_rows",
     "db_to_linear",
     "expected_outage",
-    "governing_sinr",
     "impulse_ber_under_conventional",
     "make_policies",
     "make_policy",
@@ -56,14 +49,12 @@ __all__ = [
     "rate_conservative",
     "rate_conventional",
     "rate_for",
-    "sample_block",
     "sample_fading",
     "simulate",
     "simulate_chunked",
     "simulate_policy",
     "sinr_of",
     "solve_cutoffs",
-    "solve_threshold",
     "wf_power_fraction",
     "wf_rate_bits",
 ]

@@ -13,12 +13,14 @@ is assumed to mean:
 * ``conservative`` adapts on H as if every symbol were hit.
 
 Average spectral efficiencies reduce to exponential-integral closed forms
-evaluated at a water-filling cutoff. Cutoffs come from one vectorised
-solve of the power budget (:func:`impulsewf.numerics.solve_cutoffs`):
-``make_policies`` solves any number of (scheme, link) pairs in one call,
-and the ``policy_*`` closed forms consume the solved policies, so a sweep
-solves each cutoff once. The scalar ``rate_*`` functions wrap the same
-path for one link. All functions are pure and all records immutable.
+evaluated at a water-filling cutoff. The schemes differ in one decision
+only: which exponential SINR mixture and which budget constant their
+cutoff is priced on. ``cutoff_rows`` makes it for (scheme, link) pairs,
+``make_policies`` solves the rows in one call of
+:func:`impulsewf.numerics.solve_cutoffs`, and the ``policy_*`` closed forms
+consume the solved policies, so a sweep solves each cutoff once. The
+scalar ``rate_*`` functions wrap the same path for one link. All
+functions are pure and all records immutable.
 """
 
 from __future__ import annotations
@@ -31,21 +33,19 @@ from enum import Enum
 import numpy as np
 from scipy.special import exp1
 
-from .channel import ChannelParams, DensityKind, SinrDensity
-from .numerics import budget_rows, solve_cutoffs
+from .channel import ChannelParams
+from .numerics import solve_cutoffs
 
 __all__ = [
     "LOG2_E",
     "Scheme",
-    "PolicyDomain",
     "ErrorModel",
-    "WaterfillConstants",
     "Policy",
     "NoCrossoverError",
     "qam_ber",
     "wf_power_fraction",
     "wf_rate_bits",
-    "solve_threshold",
+    "cutoff_rows",
     "make_policies",
     "make_policy",
     "policy_rate",
@@ -55,24 +55,20 @@ __all__ = [
     "rate_for",
     "outage_prob_conventional",
     "impulse_ber_under_conventional",
+    "bursts_lost",
     "crossover_pth",
     "crossover_from_rates",
 ]
 
 LOG2_E = math.log2(math.e)
+# Slack on the BER test, so that a BER equal to the target is not a miss.
+OUTAGE_GUARD = 1e-12
 
 
 class Scheme(Enum):
     CONVENTIONAL = "conventional"
     AGGRESSIVE = "aggressive"
     CONSERVATIVE = "conservative"
-
-
-class PolicyDomain(Enum):
-    """Variable the water-filling cutoff lives on."""
-
-    SINR = "sinr"
-    CHANNEL_GAIN = "channel_gain"
 
 
 class NoCrossoverError(ValueError):
@@ -107,34 +103,16 @@ class ErrorModel:
 
 
 @dataclass(frozen=True)
-class WaterfillConstants:
-    """Budget constants k for each adaptation domain.
-
-    ``k_sinr`` prices power in the SINR domain; ``k_clean`` and
-    ``k_impulse`` are its images in the fading-power domain under the
-    burst-free and burst-hit noise levels.
-    """
-
-    k_sinr: float
-    k_clean: float
-    k_impulse: float
-
-    @classmethod
-    def for_link(cls, params: ChannelParams, em: ErrorModel) -> "WaterfillConstants":
-        k_sinr = em.k_sinr
-        k_clean = k_sinr * params.snr_linear
-        return cls(k_sinr=k_sinr, k_clean=k_clean,
-                   k_impulse=k_clean / (1.0 + params.inr_linear))
-
-
-@dataclass(frozen=True)
 class Policy:
-    """A solved water-filling policy: scheme, cutoff and budget constant."""
+    """A solved water-filling policy: scheme, cutoff and budget constant.
+
+    The cutoff lives on the fed-back SINR for conventional and on the
+    fading power H for aggressive and conservative.
+    """
 
     scheme: Scheme
     threshold: float
     k_used: float
-    domain: PolicyDomain
 
     def __post_init__(self) -> None:
         if not self.threshold > 0.0:
@@ -159,7 +137,7 @@ def qam_ber(gamma: float, m: float, ber_coeff: float = 0.2) -> float:
 
 
 def wf_power_fraction(gamma, policy: Policy):
-    """Transmit power fraction P/avg_power at ``gamma`` in the policy domain.
+    """Transmit power fraction P/avg_power at ``gamma``, on the policy's basis.
 
     (1/k) * (1/threshold - 1/gamma) above the cutoff, zero at and below it.
     Scalar or array.
@@ -180,47 +158,32 @@ def wf_rate_bits(gamma, policy: Policy):
     return out.item() if out.ndim == 0 else out
 
 
-def _component_table(densities: Sequence[SinrDensity]) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and means, one row per density, padded with zero weights."""
-    weights = np.zeros((len(densities), 2))
-    means = np.ones((len(densities), 2))
-    for row, density in enumerate(densities):
-        for col, (weight, mean) in enumerate(density.components):
-            weights[row, col] = weight
-            means[row, col] = mean
-    return weights, means
+def cutoff_rows(requests: Sequence[tuple[Scheme, ChannelParams]],
+                em: ErrorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of :func:`impulsewf.numerics.solve_cutoffs`, one per (scheme, link).
 
-
-def budget_lhs(density: SinrDensity, threshold: float) -> float:
-    """Average of (1/threshold - 1/gamma)+ under ``density``, in closed form.
-
-    Per exponential component of mean m this is
-    exp(-t/m)/t - E1(t/m)/m, summed with the component weights.
+    Mixture ``weights`` and ``means`` of shape (rows, 2), zero-weight
+    padded, and a budget constant ``k`` per row. Conventional prices its
+    cutoff on the fed-back SINR, the clean/hit exponential mixture with
+    weights 1-p and p, at k_sinr. Aggressive and conservative price theirs
+    on the unit-mean fading power H, at k_sinr * SNR as if no symbol were
+    hit and at that over (1 + INR) as if every symbol were.
     """
-    weights, means = _component_table([density])
-    return float(budget_rows([threshold], weights, means)[0])
-
-
-def solve_threshold(density: SinrDensity, k: float) -> float:
-    """Cutoff at which the average water-filling spend equals the budget.
-
-    Solves budget_lhs(density, t) = k for t. The left side decreases from
-    +inf to 0, so a root always exists for k > 0.
-    """
-    weights, means = _component_table([density])
-    return float(solve_cutoffs(weights, means, [k])[0])
-
-
-def _budget_setup(scheme: Scheme, params: ChannelParams,
-                  em: ErrorModel) -> tuple[SinrDensity, float, PolicyDomain]:
-    """Density the cutoff of ``scheme`` is priced on, its budget constant
-    and the domain the cutoff lives on."""
-    consts = WaterfillConstants.for_link(params, em)
-    if scheme is Scheme.CONVENTIONAL:
-        return (SinrDensity.for_params(params, DensityKind.MIXTURE),
-                consts.k_sinr, PolicyDomain.SINR)
-    k = consts.k_clean if scheme is Scheme.AGGRESSIVE else consts.k_impulse
-    return SinrDensity.unit_exponential(), k, PolicyDomain.CHANNEL_GAIN
+    weights = np.zeros((len(requests), 2))
+    means = np.ones((len(requests), 2))
+    k = np.empty(len(requests))
+    for row, (scheme, params) in enumerate(requests):
+        if scheme is Scheme.CONVENTIONAL:
+            p = params.impulse_prob
+            weights[row] = (1.0 - p, p)
+            means[row] = (params.mean_sinr_clean, params.mean_sinr_impulse)
+            k[row] = em.k_sinr
+            continue
+        weights[row, 0] = 1.0
+        k_clean = em.k_sinr * params.snr_linear
+        k[row] = (k_clean if scheme is Scheme.AGGRESSIVE
+                  else k_clean / (1.0 + params.inr_linear))
+    return weights, means, k
 
 
 def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
@@ -230,11 +193,10 @@ def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
     Each cutoff is solved independently of the others in the call, so
     the result for a pair equals ``make_policy`` on that pair alone.
     """
-    setups = [_budget_setup(scheme, params, em) for scheme, params in requests]
-    weights, means = _component_table([density for density, _, _ in setups])
-    thresholds = solve_cutoffs(weights, means, [k for _, k, _ in setups])
-    return [Policy(scheme=scheme, threshold=float(t), k_used=k, domain=domain)
-            for (scheme, _), (_, k, domain), t in zip(requests, setups, thresholds)]
+    weights, means, k = cutoff_rows(requests, em)
+    thresholds = solve_cutoffs(weights, means, k)
+    return [Policy(scheme=scheme, threshold=float(t), k_used=float(k_row))
+            for (scheme, _), t, k_row in zip(requests, thresholds, k)]
 
 
 def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy:
@@ -242,13 +204,14 @@ def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy
     return make_policies([(scheme, params)], em)[0]
 
 
-def policy_rate(policy: Policy, params: ChannelParams) -> float:
+def policy_rate(policy: Policy, params: ChannelParams, em: ErrorModel) -> float:
     """Closed-form average spectral efficiency of a solved policy on ``params``.
 
-    ``policy`` must have been solved for this link; the aggressive and
-    conservative cutoffs do not depend on the burst probability, so one
-    such policy serves every p. Each rate is log2(e) times a weighted sum
-    of E1(t / mean) over the SINR components the policy earns on:
+    ``policy`` must have been solved for this link and ``em``; the
+    aggressive and conservative cutoffs do not depend on the burst
+    probability, so one such policy serves every p. Each rate is log2(e)
+    times a weighted sum of E1(t / mean) over the SINR components the
+    policy earns on. When bursts are lost (see :func:`bursts_lost`):
 
     * conventional: (1-p)^2 * E1(t/mean_clean) + p * E1(t/mean_hit). Symbols
       in a block whose burst state is worse than the fed-back first
@@ -258,53 +221,46 @@ def policy_rate(policy: Policy, params: ChannelParams) -> float:
       target;
     * conservative: E1(t) for every p, as the target is always met.
 
+    When they are not, no symbol misses the target: conventional earns
+    (1-p) * E1(t/mean_clean) + p * E1(t/mean_hit) and aggressive E1(t).
+
     At the cutoff E1(t) equals exp(-t)/t - k, the budget equation, but
     without the cancellation that form suffers when k is large.
     """
     t = policy.threshold
     p = params.impulse_prob
+    lost = bursts_lost(params, em)
     if policy.scheme is Scheme.CONVENTIONAL:
+        clean_weight = (1.0 - p) ** 2 if lost else 1.0 - p
         clean_part = exp1(t / params.mean_sinr_clean)
         hit_part = exp1(t / params.mean_sinr_impulse)
-        return float(LOG2_E * ((1.0 - p) ** 2 * clean_part + p * hit_part))
+        return float(LOG2_E * (clean_weight * clean_part + p * hit_part))
     burst_free_rate = float(LOG2_E * exp1(t))
-    if policy.scheme is Scheme.AGGRESSIVE:
+    if policy.scheme is Scheme.AGGRESSIVE and lost:
         # Scaling the p = 0 rate keeps the linearity in p exact in floats.
         return (1.0 - p) * burst_free_rate
     return burst_free_rate
 
 
 def rate_conventional(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of SINR-feedback water-filling.
-
-    The cutoff is priced on the clean/hit mixture; see :func:`policy_rate`:
-
-        (1-p)^2 * log2(e) * E1(t/mean_clean) + p * log2(e) * E1(t/mean_hit)
-    """
-    return policy_rate(make_policy(Scheme.CONVENTIONAL, params, em), params)
+    """Average spectral efficiency of SINR-feedback water-filling."""
+    return rate_for(Scheme.CONVENTIONAL, params, em)
 
 
 def rate_aggressive(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of burst-blind water-filling on H.
-
-    Every burst-hit symbol misses the BER target and earns nothing, leaving
-    (1 - p) * log2(e) * E1(t) with t the clean-priced cutoff.
-    """
-    return policy_rate(make_policy(Scheme.AGGRESSIVE, params, em), params)
+    """Average spectral efficiency of burst-blind water-filling on H."""
+    return rate_for(Scheme.AGGRESSIVE, params, em)
 
 
 def rate_conservative(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of worst-case water-filling on H.
-
-    Pricing for the burst-hit noise level means the target is always met,
-    so the rate log2(e) * E1(t) holds for every burst probability.
-    """
-    return policy_rate(make_policy(Scheme.CONSERVATIVE, params, em), params)
+    """Average spectral efficiency of worst-case water-filling on H."""
+    return rate_for(Scheme.CONSERVATIVE, params, em)
 
 
 def rate_for(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> float:
-    """Closed-form average spectral efficiency of ``scheme``."""
-    return policy_rate(make_policy(scheme, params, em), params)
+    """Closed-form average spectral efficiency of ``scheme`` on this link:
+    :func:`policy_rate` at the cutoff solved for it."""
+    return policy_rate(make_policy(scheme, params, em), params, em)
 
 
 def outage_prob_conventional(p: float) -> float:
@@ -333,6 +289,18 @@ def impulse_ber_under_conventional(em: ErrorModel, inr_linear: float) -> float:
     return em.ber_coeff * math.exp(log_ratio / (1.0 + inr_linear))
 
 
+def bursts_lost(params: ChannelParams, em: ErrorModel) -> bool:
+    """Whether a burst on a symbol adapted to a clean SINR misses the target.
+
+    True at every INR above about -97 dB for the default target; false at
+    zero interference (INR = -inf), where no burst costs a symbol. The
+    closed-form rates, the outage law and the simulator all ask this one
+    question, so they agree on which symbols earn nothing.
+    """
+    hit_ber = impulse_ber_under_conventional(em, params.inr_linear)
+    return hit_ber > em.target_ber + OUTAGE_GUARD
+
+
 def crossover_pth(params: ChannelParams, em: ErrorModel) -> float:
     """Burst probability where aggressive and conservative rates intersect.
 
@@ -342,8 +310,8 @@ def crossover_pth(params: ChannelParams, em: ErrorModel) -> float:
     at_p0 = replace(params, impulse_prob=0.0)
     aggressive, conservative = make_policies(
         [(Scheme.AGGRESSIVE, at_p0), (Scheme.CONSERVATIVE, at_p0)], em)
-    return crossover_from_rates(policy_rate(aggressive, at_p0),
-                                policy_rate(conservative, at_p0))
+    return crossover_from_rates(policy_rate(aggressive, at_p0, em),
+                                policy_rate(conservative, at_p0, em))
 
 
 def crossover_from_rates(aggressive_at_p0: float, conservative: float) -> float:

@@ -14,18 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "db_to_linear",
     "ChannelParams",
-    "DensityKind",
-    "SinrDensity",
-    "CoherenceBlock",
     "sample_fading",
-    "sample_block",
     "sinr_of",
 ]
 
@@ -107,67 +102,6 @@ class ChannelParams:
         return self.snr_linear / (1.0 + self.inr_linear)
 
 
-class DensityKind(Enum):
-    CLEAN = "clean"
-    IMPULSE = "impulse"
-    MIXTURE = "mixture"
-
-
-@dataclass(frozen=True)
-class SinrDensity:
-    """Exponential or two-component exponential mixture SINR density.
-
-    Burst-free symbols see an exponential SINR of mean ``mean_clean``;
-    burst-hit symbols an exponential of mean ``mean_impulse``, mixed with
-    weight ``weight_impulse``.
-    """
-
-    kind: DensityKind
-    mean_clean: float
-    mean_impulse: float
-    weight_impulse: float
-
-    def __post_init__(self) -> None:
-        if not (self.mean_clean > 0.0 and self.mean_impulse > 0.0):
-            raise ValueError("component means must be positive")
-        if not 0.0 <= self.weight_impulse <= 1.0:
-            raise ValueError("weight_impulse must be in [0, 1]")
-
-    @classmethod
-    def for_params(cls, params: ChannelParams,
-                   kind: DensityKind = DensityKind.MIXTURE) -> "SinrDensity":
-        weight = {DensityKind.CLEAN: 0.0,
-                  DensityKind.IMPULSE: 1.0,
-                  DensityKind.MIXTURE: params.impulse_prob}[kind]
-        return cls(kind=kind, mean_clean=params.mean_sinr_clean,
-                   mean_impulse=params.mean_sinr_impulse, weight_impulse=weight)
-
-    @classmethod
-    def unit_exponential(cls) -> "SinrDensity":
-        """Unit-mean exponential, the law of the fading power H itself."""
-        return cls(kind=DensityKind.CLEAN, mean_clean=1.0, mean_impulse=1.0,
-                   weight_impulse=0.0)
-
-    @property
-    def components(self) -> tuple[tuple[float, float], ...]:
-        """(weight, mean) pairs of the exponential components."""
-        if self.kind is DensityKind.CLEAN:
-            return ((1.0, self.mean_clean),)
-        if self.kind is DensityKind.IMPULSE:
-            return ((1.0, self.mean_impulse),)
-        return ((1.0 - self.weight_impulse, self.mean_clean),
-                (self.weight_impulse, self.mean_impulse))
-
-
-@dataclass(frozen=True)
-class CoherenceBlock:
-    """One coherence interval: a fading power and per-symbol burst flags."""
-
-    h: float
-    impulse_mask: tuple[bool, ...]
-    block_len: int
-
-
 def sample_fading(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-mean exponential fading powers via the inverse transform.
 
@@ -175,16 +109,6 @@ def sample_fading(rng: np.random.Generator, n: int) -> np.ndarray:
     ziggurat sampler so the stream is reproducible across platforms.
     """
     return -np.log1p(-rng.random(n))
-
-
-def sample_block(params: ChannelParams, block_len: int,
-                 rng: np.random.Generator) -> CoherenceBlock:
-    """Draw one coherence block: shared fading power, i.i.d. burst flags."""
-    if block_len < 1:
-        raise ValueError(f"block_len must be >= 1, got {block_len}")
-    h = -math.log1p(-rng.random())
-    mask = tuple(bool(v) for v in rng.random(block_len) < params.impulse_prob)
-    return CoherenceBlock(h=h, impulse_mask=mask, block_len=block_len)
 
 
 def sinr_of(params: ChannelParams, h, impulse, tx_power):

@@ -32,7 +32,8 @@ from .adaptation import (ErrorModel, NoCrossoverError, Policy, Scheme,
                          crossover_from_rates, make_policies, policy_rate)
 from .channel import ChannelParams
 from .numerics import ConvergenceError
-from .simulate import SimConfig, SimMode, policy_outage, simulate_policy
+from .simulate import (SimConfig, SimMode, policy_outage, policy_sim_rate,
+                       simulate_policy)
 
 __all__ = [
     "ConfigError",
@@ -175,7 +176,7 @@ def cmd_theory(spec: SweepSpec) -> str:
     """Closed-form sweep: one row per (p, scheme)."""
     em = spec.error_model()
     rows = [CsvRow(p=p, scheme=policy.scheme.value,
-                   rate_theory=policy_rate(policy, params),
+                   rate_theory=policy_rate(policy, params, em),
                    outage_theory=policy_outage(policy, params, em))
             for p, params, policy in _sweep(spec, em)]
     return rows_to_csv(rows)
@@ -190,7 +191,7 @@ def cmd_simulate(spec: SweepSpec) -> str:
         result = simulate_policy(policy, params, em, cfg)
         rows.append(CsvRow(
             p=p, scheme=policy.scheme.value,
-            rate_theory=policy_rate(policy, params),
+            rate_theory=policy_rate(policy, params, em),
             rate_sim=result.avg_se,
             outage_theory=policy_outage(policy, params, em,
                                         cfg.mode, cfg.block_len),
@@ -206,8 +207,8 @@ def cmd_crossover(spec: SweepSpec) -> str:
     params = spec.params_at(0.0)
     aggressive, conservative = make_policies(
         [(Scheme.AGGRESSIVE, params), (Scheme.CONSERVATIVE, params)], em)
-    rate_n0 = policy_rate(aggressive, params)
-    rate_i = policy_rate(conservative, params)
+    rate_n0 = policy_rate(aggressive, params, em)
+    rate_i = policy_rate(conservative, params, em)
     lines = [
         f"snr_db={_fmt(spec.snr_db)} mu_db={_fmt(spec.mu_db)}",
         f"aggressive_rate_p0={_fmt(rate_n0)}",
@@ -225,7 +226,10 @@ def cmd_crossover(spec: SweepSpec) -> str:
 def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
     """Compare simulation to theory row by row.
 
-    A row fails when |rate_sim - rate_theory| exceeds
+    Theory is the rate the sampling mode should measure
+    (:func:`impulsewf.simulate.policy_sim_rate`): the closed form in
+    per-symbol mode, plus what the first symbol of each block earns in
+    block mode. A row fails when |rate_sim - theory| exceeds
     max(0.005, 3 * standard error of the simulated mean).
     """
     em = spec.error_model()
@@ -234,7 +238,7 @@ def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
     failures = 0
     total = 0
     for p, params, policy in _sweep(spec, em):
-        theory = policy_rate(policy, params)
+        theory = policy_sim_rate(policy, params, em, cfg.mode, cfg.block_len)
         result = simulate_policy(policy, params, em, cfg)
         stderr = result.avg_se_stderr
         diff = abs(result.avg_se - theory)

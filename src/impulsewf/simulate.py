@@ -13,7 +13,9 @@ Two sampling modes:
   closed-form rate expressions' expectations directly and reproduces them.
 * ``block``: fading power and governing state are drawn once per block of
   ``block_len`` symbols, whose first symbol is the governing one, so its
-  governing and actual states coincide by construction.
+  governing and actual states coincide by construction. That first symbol
+  lifts the conventional rate above the per-symbol closed form;
+  :func:`policy_sim_rate` gives the rate each mode should measure.
 
 Outage accounting: a transmitted symbol is in outage when its realised BER
 exceeds the target (plus a 1e-12 guard for the exact-equality case at zero
@@ -21,12 +23,13 @@ INR). With water-filling, the realised BER of a transmitted symbol
 collapses to a per-burst-state constant -- the target itself when the
 governing assumption matches or over-protects, and the clean-priced hit
 BER of :func:`impulse_ber_under_conventional` when a burst sneaks past a
-clean assumption -- so the mask is computed from that constant rather than
-per-symbol arithmetic. Under the conventional scheme, symbols parked below
-the cutoff while their block's feedback overstated their SINR are counted
-as outage as well: the scheme broke its per-block guarantee for them, and
-the p(1-p) outage law counts exactly these mismatch events. Zero-rate
-symbols never experience an error event under the other two schemes.
+clean assumption -- so :func:`impulsewf.adaptation.bursts_lost` decides
+the mask rather than per-symbol arithmetic. Under the conventional scheme,
+symbols parked below the cutoff while their block's feedback overstated
+their SINR are counted as outage as well: the scheme broke its per-block
+guarantee for them, and the p(1-p) outage law counts exactly these
+mismatch events. Zero-rate symbols never experience an error event under
+the other two schemes.
 
 Determinism: a run is a pure function of (params, error model, scheme,
 config). Chunked runs derive one child seed per chunk from the master seed,
@@ -41,18 +44,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy.special import exp1
 
-from .adaptation import (ErrorModel, Policy, PolicyDomain, Scheme,
-                         impulse_ber_under_conventional, make_policy,
-                         outage_prob_conventional, wf_power_fraction,
-                         wf_rate_bits)
+from .adaptation import (LOG2_E, ErrorModel, Policy, Scheme, bursts_lost,
+                         make_policy, outage_prob_conventional, policy_rate,
+                         wf_power_fraction, wf_rate_bits)
 from .channel import ChannelParams, sample_fading, sinr_of
 
 __all__ = [
     "SimMode",
     "SimConfig",
     "SimResult",
-    "governing_sinr",
     "simulate_policy",
     "simulate",
     "aggregate",
@@ -60,10 +62,9 @@ __all__ = [
     "chunk_configs",
     "simulate_chunked",
     "policy_outage",
+    "policy_sim_rate",
     "expected_outage",
 ]
-
-OUTAGE_GUARD = 1e-12
 
 
 class SimMode(Enum):
@@ -115,24 +116,15 @@ class SimResult:
 
     @property
     def avg_se_stderr(self) -> float:
-        """Standard error of avg_se from the per-symbol rate variance."""
+        """Standard error of avg_se from the per-symbol rate variance.
+
+        Block mode uses the bound block_len * variance / n_symbols, which
+        holds however strongly a block's shared fading ties its symbols.
+        """
         variance = max(self.rate_sq_mean - self.avg_se ** 2, 0.0)
+        if self.mode == SimMode.BLOCK.value:
+            variance *= self.block_len
         return math.sqrt(variance / self.n_symbols)
-
-
-def governing_sinr(scheme: Scheme, params: ChannelParams, h, governing_impulse):
-    """Full-power SINR the transmitter believes a symbol has.
-
-    Conventional trusts the governing symbol's burst state; aggressive
-    always assumes clean; conservative always assumes hit. Scalar or array.
-    """
-    if scheme is Scheme.AGGRESSIVE:
-        state = np.zeros_like(np.asarray(h, dtype=float), dtype=bool)
-    elif scheme is Scheme.CONSERVATIVE:
-        state = np.ones_like(np.asarray(h, dtype=float), dtype=bool)
-    else:
-        state = governing_impulse
-    return sinr_of(params, h, state, params.avg_power)
 
 
 def _draw_states(params: ChannelParams, cfg: SimConfig,
@@ -160,7 +152,9 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
     ``policy`` must have been solved for this link (see
     :func:`impulsewf.adaptation.policy_rate`). Per symbol: adapt power and
     rate on the governing information, score the symbol against its
-    actual burst state. ``avg_se`` averages the rate of transmitted,
+    actual burst state. Conventional adapts on the SINR its governing
+    state implies; aggressive and conservative adapt on the fading power
+    H itself. ``avg_se`` averages the rate of transmitted,
     non-outage symbols over all symbols; ``mean_power_frac`` averages the
     spent power fraction over all symbols including the zero-power ones
     below the cutoff.
@@ -170,8 +164,8 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
     h, governing, actual = _draw_states(params, cfg, rng)
     n = h.size
 
-    if policy.domain is PolicyDomain.SINR:
-        basis = governing_sinr(scheme, params, h, governing)
+    if scheme is Scheme.CONVENTIONAL:
+        basis = sinr_of(params, h, governing, params.avg_power)
     else:
         basis = h
     power = wf_power_fraction(basis, policy)
@@ -179,15 +173,13 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
     rate = np.where(transmitted, wf_rate_bits(basis, policy), 0.0)
 
     # Realised BER of a transmitted symbol is the target unless a burst
-    # defeats a clean governing assumption, where it is this constant.
-    hit_ber = impulse_ber_under_conventional(em, params.inr_linear)
-    hit_violates = hit_ber > em.target_ber + OUTAGE_GUARD
-    if scheme is Scheme.CONVENTIONAL:
-        outage = ~governing & actual if hit_violates else np.zeros(n, dtype=bool)
-    elif scheme is Scheme.AGGRESSIVE:
-        outage = transmitted & actual if hit_violates else np.zeros(n, dtype=bool)
-    else:
+    # defeats a clean governing assumption (see bursts_lost).
+    if scheme is Scheme.CONSERVATIVE or not bursts_lost(params, em):
         outage = np.zeros(n, dtype=bool)
+    elif scheme is Scheme.CONVENTIONAL:
+        outage = ~governing & actual
+    else:
+        outage = transmitted & actual
 
     credited = np.where(transmitted & ~outage, rate, 0.0)
 
@@ -302,10 +294,10 @@ def policy_outage(policy: Policy, params: ChannelParams, em: ErrorModel,
     by (block_len - 1)/block_len in block mode where the first symbol of a
     block can never mismatch. Aggressive: bursts landing on transmitted
     symbols, p * P(H > cutoff). Conservative: zero. All zero when a burst
-    cannot push the BER past the target (zero INR).
+    cannot push the BER past the target (zero INR; see
+    :func:`impulsewf.adaptation.bursts_lost`).
     """
-    hit_ber = impulse_ber_under_conventional(em, params.inr_linear)
-    if not hit_ber > em.target_ber + OUTAGE_GUARD:
+    if not bursts_lost(params, em):
         return 0.0
     p = params.impulse_prob
     if policy.scheme is Scheme.CONVENTIONAL:
@@ -314,6 +306,24 @@ def policy_outage(policy: Policy, params: ChannelParams, em: ErrorModel,
     if policy.scheme is Scheme.AGGRESSIVE:
         return p * math.exp(-policy.threshold)
     return 0.0
+
+
+def policy_sim_rate(policy: Policy, params: ChannelParams, em: ErrorModel,
+                    mode: SimMode, block_len: int) -> float:
+    """Average rate the sampling law of ``mode`` predicts for a solved policy.
+
+    Per-symbol mode samples :func:`impulsewf.adaptation.policy_rate`. In
+    block mode the first symbol of a conventional block cannot mismatch its
+    feedback, which adds p(1-p)/block_len * log2(e) * E1(t/mean_clean) when
+    bursts are lost; the law of H, which the other schemes adapt on, stays.
+    """
+    rate = policy_rate(policy, params, em)
+    if (mode is SimMode.BLOCK and policy.scheme is Scheme.CONVENTIONAL
+            and bursts_lost(params, em)):
+        first_symbol_gain = outage_prob_conventional(params.impulse_prob) / block_len
+        rate += first_symbol_gain * LOG2_E * float(
+            exp1(policy.threshold / params.mean_sinr_clean))
+    return rate
 
 
 def expected_outage(scheme: Scheme, params: ChannelParams, em: ErrorModel,

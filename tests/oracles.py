@@ -1,4 +1,4 @@
-"""Test-only oracles: adaptive quadrature and the SINR density.
+"""Test-only oracles: adaptive quadrature and the exponential-mixture density.
 
 They give the closed forms an independent route to compare against, and
 live here so that importing the package never loads ``scipy.integrate``.
@@ -12,7 +12,6 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from impulsewf.channel import SinrDensity
 from impulsewf.numerics import ConvergenceError
 
 
@@ -35,11 +34,12 @@ def integrate_semi_infinite(f: Callable[[float], float], lower: float,
     return value
 
 
-def density_at(density: SinrDensity, gamma):
-    """Evaluate the SINR probability density at ``gamma`` (scalar or array)."""
+def density_at(weights, means, gamma):
+    """Density of the exponential mixture with these component ``weights``
+    and ``means`` (one row of ``cutoff_rows``) at ``gamma``, scalar or array."""
     g = np.asarray(gamma, dtype=float)
     out = np.zeros_like(g)
-    for weight, mean in density.components:
+    for weight, mean in zip(weights, means):
         if weight > 0.0:
             out = out + (weight / mean) * np.exp(-g / mean)
     out = np.where(g < 0.0, 0.0, out)

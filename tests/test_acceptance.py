@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 from scipy.special import exp1 as exp_integral_e1
 
-from impulsewf.adaptation import (ErrorModel, PolicyDomain, Scheme,
-                                  budget_lhs, crossover_pth,
-                                  impulse_ber_under_conventional, make_policy,
-                                  rate_aggressive, rate_conservative,
-                                  rate_conventional, rate_for,
-                                  wf_power_fraction)
-from impulsewf.channel import ChannelParams, DensityKind, SinrDensity
+from impulsewf.adaptation import (ErrorModel, Scheme, crossover_pth,
+                                  cutoff_rows, impulse_ber_under_conventional,
+                                  make_policy, rate_aggressive,
+                                  rate_conservative, rate_conventional,
+                                  rate_for, wf_power_fraction)
+from impulsewf.channel import ChannelParams
 from impulsewf.cli import cmd_simulate, cmd_theory, parse_csv, resolve_spec
+from impulsewf.numerics import budget_rows
 from impulsewf.simulate import (SimConfig, aggregate, chunk_configs, simulate,
                                 simulate_chunked)
 from oracles import density_at, integrate_semi_infinite
@@ -174,15 +174,14 @@ def test_criterion_7_property_suite():
         for scheme in Scheme:
             params = params_for(config, 0.5)
             policy = make_policy(scheme, params, EM)
-            if policy.domain is PolicyDomain.SINR:
-                density = SinrDensity.for_params(params, DensityKind.MIXTURE)
-            else:
-                density = SinrDensity.unit_exponential()
+            weights, means, _ = cutoff_rows([(scheme, params)], EM)
             # Threshold residual and the analytic power budget.
-            residual = budget_lhs(density, policy.threshold) - policy.k_used
+            residual = budget_rows([policy.threshold], weights, means)[0] \
+                - policy.k_used
             assert abs(residual) <= 1e-9
             spent = integrate_semi_infinite(
-                lambda g: wf_power_fraction(g, policy) * density_at(density, g),
+                lambda g: wf_power_fraction(g, policy)
+                * density_at(weights[0], means[0], g),
                 policy.threshold)
             assert spent == pytest.approx(1.0, abs=1e-6)
             # Empirical power budget.

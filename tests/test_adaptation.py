@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf.adaptation import (LOG2_E, ErrorModel, NoCrossoverError,
-                                  Policy, PolicyDomain, Scheme,
-                                  WaterfillConstants, budget_lhs,
+                                  Policy, Scheme, bursts_lost,
                                   crossover_from_rates, crossover_pth,
-                                  impulse_ber_under_conventional,
+                                  cutoff_rows, impulse_ber_under_conventional,
                                   make_policies, make_policy,
                                   outage_prob_conventional, policy_rate, qam_ber,
                                   rate_aggressive, rate_conservative,
-                                  rate_conventional, solve_threshold,
+                                  rate_conventional, rate_for,
                                   wf_power_fraction, wf_rate_bits)
-from impulsewf.channel import ChannelParams, DensityKind, SinrDensity
+from impulsewf.channel import ChannelParams
+from impulsewf.numerics import budget_rows, solve_cutoffs
 from oracles import density_at, integrate_semi_infinite
 
 EM = ErrorModel(target_ber=1e-3)
@@ -30,6 +30,17 @@ SET_C = dict(snr_db=0.0, inr_db=20.0)    # low SNR, high INR
 
 def params_for(config, p):
     return ChannelParams(impulse_prob=p, **config)
+
+
+def spend_of(policy, params):
+    """Budget spend B(t) of ``policy``'s cutoff on the row it was priced on."""
+    weights, means, _ = cutoff_rows([(policy.scheme, params)], EM)
+    return float(budget_rows([policy.threshold], weights, means)[0])
+
+
+# The row of a cutoff priced on the unit-mean fading power H.
+UNIT_WEIGHTS, UNIT_MEANS, _ = cutoff_rows(
+    [(Scheme.AGGRESSIVE, ChannelParams(0.0, 0.0, 0.0))], EM)
 
 
 class TestErrorModel:
@@ -48,10 +59,12 @@ class TestErrorModel:
 
     def test_constants_relations(self):
         params = params_for(SET_B, 0.4)
-        consts = WaterfillConstants.for_link(params, EM)
-        assert consts.k_clean == EM.k_sinr * params.snr_linear
-        assert consts.k_impulse == consts.k_clean / (1.0 + params.inr_linear)
-        assert consts.k_sinr > 0 and consts.k_clean > 0 and consts.k_impulse > 0
+        _, _, k = cutoff_rows([(scheme, params) for scheme in Scheme], EM)
+        k_sinr, k_clean, k_impulse = k
+        assert k_sinr == EM.k_sinr
+        assert k_clean == EM.k_sinr * params.snr_linear
+        assert k_impulse == k_clean / (1.0 + params.inr_linear)
+        assert k_sinr > 0 and k_clean > 0 and k_impulse > 0
 
 
 class TestQamBer:
@@ -82,7 +95,7 @@ class TestQamBer:
 class TestWaterfillingShapes:
     def setup_method(self):
         self.policy = Policy(scheme=Scheme.AGGRESSIVE, threshold=0.758,
-                             k_used=0.283105, domain=PolicyDomain.CHANNEL_GAIN)
+                             k_used=0.283105)
 
     def test_zero_at_and_below_threshold(self):
         assert wf_power_fraction(0.758, self.policy) == 0.0
@@ -101,29 +114,32 @@ class TestWaterfillingShapes:
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            Policy(scheme=Scheme.AGGRESSIVE, threshold=0.0,
-                   k_used=0.28, domain=PolicyDomain.CHANNEL_GAIN)
+            Policy(scheme=Scheme.AGGRESSIVE, threshold=0.0, k_used=0.28)
 
 
-class TestSolveThreshold:
+class TestCutoffRows:
     def test_forward_evaluated_unit_root(self):
         k = math.exp(-1.0) - exp_integral_e1(1.0)
-        root = solve_threshold(SinrDensity.unit_exponential(), k)
+        root = solve_cutoffs(UNIT_WEIGHTS, UNIT_MEANS, [k])[0]
         assert root == pytest.approx(1.0, abs=1e-9)
 
     def test_known_clean_threshold(self):
-        root = solve_threshold(SinrDensity.unit_exponential(), 0.283105)
-        assert root == pytest.approx(0.758, abs=5e-4)
+        # Aggressive at 0 dB SNR prices H at k = k_sinr = 0.28311.
+        policy = make_policy(Scheme.AGGRESSIVE, params_for(SET_A, 0.5), EM)
+        assert policy.threshold == pytest.approx(0.758, abs=5e-4)
 
     def test_degenerate_mixture_matches_clean(self):
-        params = params_for(SET_A, 0.0)
-        mixture = SinrDensity.for_params(params, DensityKind.MIXTURE)
-        clean = SinrDensity.for_params(params, DensityKind.CLEAN)
-        assert solve_threshold(mixture, EM.k_sinr) == solve_threshold(clean, EM.k_sinr)
+        # At p = 0 the burst-hit column carries zero weight, and dropping it
+        # leaves the cutoff exactly as it was.
+        weights, means, k = cutoff_rows(
+            [(Scheme.CONVENTIONAL, params_for(SET_A, 0.0))], EM)
+        assert weights[0, 1] == 0.0
+        assert solve_cutoffs(weights, means, k) == \
+            solve_cutoffs(weights[:, :1], means[:, :1], k)
 
     def test_rejects_non_positive_k(self):
         with pytest.raises(ValueError):
-            solve_threshold(SinrDensity.unit_exponential(), 0.0)
+            solve_cutoffs(UNIT_WEIGHTS, UNIT_MEANS, [0.0])
 
     @pytest.mark.parametrize("config", [SET_A, SET_B, SET_C])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
@@ -131,11 +147,7 @@ class TestSolveThreshold:
     def test_threshold_residuals(self, config, p, scheme):
         params = params_for(config, p)
         policy = make_policy(scheme, params, EM)
-        if policy.domain is PolicyDomain.SINR:
-            density = SinrDensity.for_params(params, DensityKind.MIXTURE)
-        else:
-            density = SinrDensity.unit_exponential()
-        residual = budget_lhs(density, policy.threshold) - policy.k_used
+        residual = spend_of(policy, params) - policy.k_used
         assert abs(residual) <= 1e-9
 
     @pytest.mark.parametrize("config", [SET_A, SET_B, SET_C])
@@ -145,12 +157,10 @@ class TestSolveThreshold:
         # Quadrature restatement of the budget equation the solver enforced.
         params = params_for(config, p)
         policy = make_policy(scheme, params, EM)
-        if policy.domain is PolicyDomain.SINR:
-            density = SinrDensity.for_params(params, DensityKind.MIXTURE)
-        else:
-            density = SinrDensity.unit_exponential()
+        weights, means, _ = cutoff_rows([(scheme, params)], EM)
+        row = (weights[0], means[0])
         spent = integrate_semi_infinite(
-            lambda g: wf_power_fraction(g, policy) * density_at(density, g),
+            lambda g: wf_power_fraction(g, policy) * density_at(*row, g),
             policy.threshold)
         assert spent == pytest.approx(1.0, abs=1e-6)
 
@@ -287,12 +297,6 @@ inr_dbs = st.floats(min_value=-30.0, max_value=100.0)
 probs = st.floats(min_value=0.0, max_value=1.0)
 
 
-def density_of(policy, params):
-    if policy.domain is PolicyDomain.SINR:
-        return SinrDensity.for_params(params, DensityKind.MIXTURE)
-    return SinrDensity.unit_exponential()
-
-
 class TestCutoffProperties:
     """Over the whole SNR range [-100, 120] dB and INR range [-30, 100] dB."""
 
@@ -302,7 +306,7 @@ class TestCutoffProperties:
         params = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
         for scheme in Scheme:
             policy = make_policy(scheme, params, EM)
-            spend = budget_lhs(density_of(policy, params), policy.threshold)
+            spend = spend_of(policy, params)
             assert abs(spend / policy.k_used - 1.0) <= 1e-9
 
     @PROPERTY_SETTINGS
@@ -319,10 +323,10 @@ class TestCutoffProperties:
             pytest.approx(aggressive.threshold, rel=1e-12)
         assert conv_1.threshold / at_1.mean_sinr_impulse == \
             pytest.approx(conservative.threshold, rel=1e-12)
-        assert policy_rate(conv_0, at_0) == \
-            pytest.approx(policy_rate(aggressive, at_0), rel=1e-12)
-        assert policy_rate(conv_1, at_1) == \
-            pytest.approx(policy_rate(conservative, at_1), rel=1e-12)
+        assert policy_rate(conv_0, at_0, EM) == \
+            pytest.approx(policy_rate(aggressive, at_0, EM), rel=1e-12)
+        assert policy_rate(conv_1, at_1, EM) == \
+            pytest.approx(policy_rate(conservative, at_1, EM), rel=1e-12)
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21))
@@ -334,7 +338,7 @@ class TestCutoffProperties:
         for (scheme, link), policy in zip(requests, together):
             alone = make_policy(scheme, link, EM)
             assert policy.threshold == pytest.approx(alone.threshold, rel=1e-13)
-            assert (policy.k_used, policy.domain) == (alone.k_used, alone.domain)
+            assert (policy.scheme, policy.k_used) == (alone.scheme, alone.k_used)
 
 
 class TestPolicyRates:
@@ -346,13 +350,13 @@ class TestPolicyRates:
                                      (Scheme.AGGRESSIVE, rate_aggressive),
                                      (Scheme.CONSERVATIVE, rate_conservative)):
                     policy = make_policy(scheme, params, EM)
-                    assert policy_rate(policy, params) == rate(params, EM)
+                    assert policy_rate(policy, params, EM) == rate(params, EM)
 
     def test_one_aggressive_policy_serves_every_p(self):
         policy = make_policy(Scheme.AGGRESSIVE, params_for(SET_B, 0.0), EM)
         for p in (0.1, 0.5, 0.9):
             params = params_for(SET_B, p)
-            assert policy_rate(policy, params) == rate_aggressive(params, EM)
+            assert policy_rate(policy, params, EM) == rate_aggressive(params, EM)
 
     def test_empty_request_list(self):
         assert make_policies([], EM) == []
@@ -362,7 +366,33 @@ class TestPolicyRates:
         low = ChannelParams(snr_db=-100.0, inr_db=20.0, impulse_prob=0.5)
         high = ChannelParams(snr_db=120.0, inr_db=20.0, impulse_prob=0.5)
         for scheme in Scheme:
-            rates = [policy_rate(make_policy(scheme, params, EM), params)
+            rates = [policy_rate(make_policy(scheme, params, EM), params, EM)
                      for params in (low, high)]
             assert all(math.isfinite(r) and r >= 0.0 for r in rates)
             assert rates[0] < rates[1]
+
+
+class TestZeroInterference:
+    """INR = -inf: bursts carry no interference, so no symbol is lost."""
+
+    def test_bursts_lost_only_with_interference(self):
+        assert not bursts_lost(ChannelParams(0.0, -math.inf, 0.5), EM)
+        assert not bursts_lost(ChannelParams(0.0, -120.0, 0.5), EM)
+        assert bursts_lost(ChannelParams(0.0, -90.0, 0.5), EM)
+        assert bursts_lost(ChannelParams(0.0, 0.0, 0.5), EM)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_every_scheme_earns_the_burst_free_rate(self, scheme, p):
+        params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=p)
+        policy = make_policy(Scheme.AGGRESSIVE, params, EM)
+        burst_free = LOG2_E * exp_integral_e1(policy.threshold)
+        assert rate_for(scheme, params, EM) == pytest.approx(burst_free, rel=1e-12)
+
+    def test_conventional_weights_without_losses(self):
+        # (1-p) E1(t/m_clean) + p E1(t/m_hit), the hit mean just below clean.
+        params = ChannelParams(snr_db=0.0, inr_db=-120.0, impulse_prob=0.4)
+        t = make_policy(Scheme.CONVENTIONAL, params, EM).threshold
+        expected = LOG2_E * (0.6 * exp_integral_e1(t / params.mean_sinr_clean)
+                             + 0.4 * exp_integral_e1(t / params.mean_sinr_impulse))
+        assert rate_conventional(params, EM) == pytest.approx(expected, rel=1e-14)

@@ -1,4 +1,5 @@
-"""Channel parameterisation, SINR densities, and block sampling."""
+"""Channel parameterisation, the SINR mixtures cutoffs are priced on, and
+fading sampling."""
 
 import math
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from impulsewf.channel import (ChannelParams, DensityKind, SinrDensity,
-                               db_to_linear, sample_block, sample_fading,
+from impulsewf.adaptation import ErrorModel, Scheme, cutoff_rows
+from impulsewf.channel import (ChannelParams, db_to_linear, sample_fading,
                                sinr_of)
 from oracles import density_at, integrate_semi_infinite
+
+EM = ErrorModel(target_ber=1e-3)
 
 
 def params_a(p=0.5):
@@ -65,42 +68,53 @@ class TestChannelParams:
             ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=0.5)
 
 
-class TestSinrDensity:
+def density_row(scheme, params):
+    """The (weights, means) row the cutoff of ``scheme`` is priced on."""
+    weights, means, _ = cutoff_rows([(scheme, params)], EM)
+    return weights[0], means[0]
+
+
+class TestMixtureDensity:
     def test_degenerate_mixture_equals_clean(self):
         params = ChannelParams(snr_db=3.0, inr_db=6.0, impulse_prob=0.0)
-        mixture = SinrDensity.for_params(params, DensityKind.MIXTURE)
-        clean = SinrDensity.for_params(params, DensityKind.CLEAN)
+        mixture = density_row(Scheme.CONVENTIONAL, params)
+        clean = ([1.0], [params.mean_sinr_clean])
         for gamma in (0.0, 0.3, 1.0, 4.0):
-            assert density_at(mixture, gamma) == density_at(clean, gamma)
+            assert density_at(*mixture, gamma) == density_at(*clean, gamma)
 
     def test_clean_density_at_origin_is_inverse_mean(self):
-        clean = SinrDensity.for_params(params_a(), DensityKind.CLEAN)
-        assert density_at(clean, 0.0) == pytest.approx(1.0)
+        params = ChannelParams(snr_db=10.0, inr_db=20.0, impulse_prob=0.0)
+        clean = density_row(Scheme.CONVENTIONAL, params)
+        assert density_at(*clean, 0.0) == pytest.approx(0.1)
 
     def test_mixture_value_at_origin(self):
         # (1-p)/mean_clean + p*(1+inr)/mean_clean at 0 dB SNR, 0 dB INR, p=0.5
-        mixture = SinrDensity.for_params(params_a(0.5), DensityKind.MIXTURE)
-        assert density_at(mixture, 0.0) == pytest.approx(1.5)
+        mixture = density_row(Scheme.CONVENTIONAL, params_a(0.5))
+        assert density_at(*mixture, 0.0) == pytest.approx(1.5)
 
     def test_density_is_zero_for_negative_argument(self):
-        mixture = SinrDensity.for_params(params_a(0.5), DensityKind.MIXTURE)
-        assert density_at(mixture, -1.0) == 0.0
+        mixture = density_row(Scheme.CONVENTIONAL, params_a(0.5))
+        assert density_at(*mixture, -1.0) == 0.0
 
     @pytest.mark.parametrize("snr_db,inr_db,p", [
         (0.0, 0.0, 0.5), (0.0, 20.0, 0.2), (10.0, 20.0, 0.8),
         (-5.0, 10.0, 1.0), (5.0, -10.0, 0.0),
     ])
-    @pytest.mark.parametrize("kind", list(DensityKind))
-    def test_normalisation(self, snr_db, inr_db, p, kind):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_normalisation(self, snr_db, inr_db, p, scheme):
         params = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
-        density = SinrDensity.for_params(params, kind)
-        total = integrate_semi_infinite(lambda g: density_at(density, g), 0.0)
+        row = density_row(scheme, params)
+        total = integrate_semi_infinite(lambda g: density_at(*row, g), 0.0)
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_unit_exponential(self):
-        unit = SinrDensity.unit_exponential()
-        assert density_at(unit, 0.0) == 1.0
-        assert unit.components == ((1.0, 1.0),)
+    def test_fading_rows_are_unit_exponential(self):
+        # Aggressive and conservative price their cutoffs on H itself.
+        params = ChannelParams(snr_db=10.0, inr_db=20.0, impulse_prob=0.5)
+        for scheme in (Scheme.AGGRESSIVE, Scheme.CONSERVATIVE):
+            weights, means = density_row(scheme, params)
+            assert weights.tolist() == [1.0, 0.0]
+            assert means.tolist() == [1.0, 1.0]
+            assert density_at(weights, means, 0.0) == 1.0
 
 
 class TestSinrOf:
@@ -124,48 +138,6 @@ class TestSinrOf:
 
 
 class TestSampling:
-    def test_mask_degenerate_never(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        block = sample_block(ChannelParams(0.0, 0.0, 0.0), 64, rng)
-        assert block.impulse_mask == (False,) * 64
-
-    def test_mask_degenerate_always(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        block = sample_block(ChannelParams(0.0, 0.0, 1.0), 64, rng)
-        assert block.impulse_mask == (True,) * 64
-
-    def test_block_shape_and_positivity(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        block = sample_block(params_a(), 4, rng)
-        assert block.block_len == 4
-        assert len(block.impulse_mask) == 4
-        assert block.h > 0.0
-
-    def test_rejects_empty_block(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        with pytest.raises(ValueError):
-            sample_block(params_a(), 0, rng)
-
-    def test_seeded_statistics_of_blocks(self):
-        # 1e5 blocks of one symbol: mean fading and mask rate near targets.
-        rng = np.random.Generator(np.random.PCG64(20260808))
-        params = params_a(0.5)
-        h_sum = 0.0
-        hits = 0
-        n = 100_000
-        for _ in range(n):
-            block = sample_block(params, 1, rng)
-            h_sum += block.h
-            hits += block.impulse_mask[0]
-        assert 0.99 <= h_sum / n <= 1.01
-        assert 0.495 <= hits / n <= 0.505
-
-    def test_sample_block_is_deterministic(self):
-        params = params_a(0.5)
-        one = sample_block(params, 8, np.random.Generator(np.random.PCG64(11)))
-        two = sample_block(params, 8, np.random.Generator(np.random.PCG64(11)))
-        assert one == two
-
     def test_clean_sinr_matches_exponential_law(self):
         # Full-power burst-free SINR should be exponential with the clean mean.
         params = ChannelParams(snr_db=10.0, inr_db=20.0, impulse_prob=0.5)

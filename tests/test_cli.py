@@ -1,6 +1,7 @@
 """CLI behaviour: CSV determinism, golden sweep values, exit codes, config,
 errors and repeated calls in one process."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -159,14 +160,34 @@ class TestVerifyCommand:
         assert "stderr=" in out
         assert "verified 33/33 rows" in out
 
-    def test_block_mode_conventional_is_flagged(self, capsys):
-        # Block sampling keeps the first symbol of every block safe, so its
-        # rate exceeds the per-symbol closed form and verification fails.
+    @pytest.mark.parametrize("block_len", ["4", "8"])
+    @pytest.mark.parametrize("link", [[], ["--snr-db", "10", "--mu-db", "20"],
+                                      ["--mu-db", "20"]], ids=["A", "B", "C"])
+    def test_block_mode_passes_on_correct_simulation(self, capsys, link,
+                                                     block_len):
+        # Theory includes what the first symbol of each block earns, and
+        # the standard error allows for the fading a block shares.
         code, out, _ = run(capsys, ["verify", "--mode", "block",
-                                    "--schemes", "conventional",
-                                    "--p-grid", "0.5"])
+                                    "--block-len", block_len] + link)
+        assert code == 0, out
+        assert "verified 33/33 rows" in out
+
+    def test_wrong_theory_is_flagged(self, capsys, monkeypatch):
+        # ``impulsewf.simulate`` is the function; the module is looked up.
+        simulate = importlib.import_module("impulsewf.simulate")
+        rate = simulate.policy_rate
+        monkeypatch.setattr(simulate, "policy_rate",
+                            lambda *args: rate(*args) + 0.1)
+        code, out, _ = run(capsys, ["verify", "--p-grid", "0.5"])
         assert code == 2
-        assert "FAIL" in out
+        assert out.count(" FAIL\n") == 3
+        assert "verified 0/3 rows, 3 FAILED" in out
+
+    def test_zero_interference_passes(self, capsys):
+        # INR = -inf: no burst costs a symbol, in theory or in simulation.
+        code, out, _ = run(capsys, ["verify", "--mu-db=-inf"])
+        assert code == 0, out
+        assert "verified 33/33 rows" in out
 
     def test_config_error_before_any_computation(self, capsys):
         code, out, err = run(capsys, ["verify", "--pb", "0.3"])

@@ -1,0 +1,25 @@
+"""Export surface: every exported name exists, once, in some module's list."""
+
+import importlib
+
+import pytest
+
+import impulsewf
+
+MODULES = ["adaptation", "channel", "cli", "numerics", "simulate"]
+
+
+@pytest.mark.parametrize("name",
+                         ["impulsewf"] + [f"impulsewf.{m}" for m in MODULES])
+def test_all_names_exist_once(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+    assert len(module.__all__) == len(set(module.__all__))
+
+
+def test_package_names_come_from_module_lists():
+    exported = set()
+    for short in MODULES:
+        exported |= set(importlib.import_module(f"impulsewf.{short}").__all__)
+    assert sorted(set(impulsewf.__all__) - exported) == []

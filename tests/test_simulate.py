@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from impulsewf.adaptation import (ErrorModel, PolicyDomain, Scheme,
+from impulsewf.adaptation import (ErrorModel, Scheme,
                                   impulse_ber_under_conventional, make_policy,
                                   qam_ber, rate_for, wf_power_fraction,
                                   wf_rate_bits)
 from impulsewf.channel import ChannelParams, sinr_of
 from impulsewf.simulate import (SimConfig, SimMode, _draw_states, aggregate,
                                 chunk_configs, chunk_seed, expected_outage,
-                                governing_sinr, simulate, simulate_chunked)
+                                policy_sim_rate, simulate, simulate_chunked)
 
 EM = ErrorModel(target_ber=1e-3)
 SET_A = dict(snr_db=0.0, inr_db=0.0)
@@ -28,30 +28,32 @@ def three_sigma_binomial(q, n):
     return 3.0 * math.sqrt(q * (1.0 - q) / n)
 
 
-class TestGoverningSinr:
-    def test_conservative_believes_hit_even_when_clean(self):
-        params = params_for(SET_B, 0.5)
-        h = np.array([0.5, 1.0, 2.0])
-        believed = governing_sinr(Scheme.CONSERVATIVE, params, h,
-                                  np.zeros(3, dtype=bool))
-        expected = h * params.avg_power / (params.noise_power
-                                           + params.interference_power)
-        assert believed == pytest.approx(expected, rel=1e-12)
+def draw(params, cfg):
+    return _draw_states(params, cfg, np.random.Generator(np.random.PCG64(cfg.seed)))
 
-    def test_aggressive_believes_clean_even_when_hit(self):
-        params = params_for(SET_B, 0.5)
-        h = np.array([0.5, 1.0, 2.0])
-        believed = governing_sinr(Scheme.AGGRESSIVE, params, h,
-                                  np.ones(3, dtype=bool))
-        assert believed == pytest.approx(h / params.noise_power, rel=1e-12)
 
-    def test_conventional_follows_governing_state(self):
-        params = params_for(SET_A, 0.5)
-        state = np.array([True, False])
-        believed = governing_sinr(Scheme.CONVENTIONAL, params,
-                                  np.array([1.0, 1.0]), state)
-        assert believed[0] == pytest.approx(0.5)
-        assert believed[1] == pytest.approx(1.0)
+def adaptation_basis(scheme, params, h, governing):
+    """What each scheme adapts on: the SINR its governing state implies for
+    conventional, the fading power H for the other two."""
+    if scheme is Scheme.CONVENTIONAL:
+        return sinr_of(params, h, governing, params.avg_power)
+    return h
+
+
+class TestAdaptationBasis:
+    # The fading stream is drawn first, so one seed gives the same H for
+    # every p; a scheme that adapts on H alone then spends identical power.
+    def test_conservative_ignores_burst_states(self):
+        cfg = SimConfig(n_symbols=20_000, seed=8)
+        spent = [simulate(params_for(SET_B, p), EM, Scheme.CONSERVATIVE,
+                          cfg).mean_power_frac for p in (0.0, 0.5, 1.0)]
+        assert spent[0] == spent[1] == spent[2]
+
+    def test_aggressive_ignores_burst_states(self):
+        cfg = SimConfig(n_symbols=20_000, seed=8)
+        spent = [simulate(params_for(SET_B, p), EM, Scheme.AGGRESSIVE,
+                          cfg).mean_power_frac for p in (0.0, 0.5, 1.0)]
+        assert spent[0] == spent[1] == spent[2]
 
 
 class TestAgainstTheory:
@@ -135,10 +137,7 @@ class TestPerSymbolBerEquivalence:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         h, governing, actual = _draw_states(params, cfg, rng)
         policy = make_policy(scheme, params, EM)
-        if policy.domain is PolicyDomain.SINR:
-            basis = governing_sinr(scheme, params, h, governing)
-        else:
-            basis = h
+        basis = adaptation_basis(scheme, params, h, governing)
         power = wf_power_fraction(basis, policy)
         transmitted = power > 0.0
         outage = np.zeros(h.size, dtype=bool)
@@ -159,6 +158,17 @@ class TestPerSymbolBerEquivalence:
         result = simulate(params, EM, scheme, cfg)
         assert result.outage_frac == outage.mean()
         assert result.avg_se == pytest.approx(expected_se, rel=1e-12)
+        assert result.mean_power_frac == power.mean()
+
+    def test_conventional_follows_governing_state(self):
+        # Power follows the SINR the governing state implies, not H.
+        params = params_for(SET_A, 0.5)
+        cfg = SimConfig(n_symbols=20_000, seed=8)
+        h, governing, _ = draw(params, cfg)
+        policy = make_policy(Scheme.CONVENTIONAL, params, EM)
+        power = wf_power_fraction(sinr_of(params, h, governing, 1.0), policy)
+        result = simulate(params, EM, Scheme.CONVENTIONAL, cfg)
+        assert result.mean_power_frac == power.sum() / h.size
 
 
 class TestDeterminismAndCounts:
@@ -246,6 +256,57 @@ class TestAggregation:
         assert sum(c.n_symbols for c in configs) == 100_001
 
 
+class TestBlockStates:
+    """The block path of ``_draw_states``, the sampler the simulator uses."""
+
+    L = 4
+
+    def block_cfg(self, n_symbols=4000, seed=3):
+        return SimConfig(n_symbols=n_symbols, seed=seed, mode=SimMode.BLOCK,
+                         block_len=self.L)
+
+    @pytest.mark.parametrize("p,state", [(0.0, False), (1.0, True)])
+    def test_masks_at_degenerate_p(self, p, state):
+        _, governing, actual = draw(params_for(SET_A, p), self.block_cfg())
+        assert np.all(governing == state)
+        assert np.all(actual == state)
+
+    def test_shape_and_positivity(self):
+        h, governing, actual = draw(params_for(SET_A, 0.5), self.block_cfg(1001))
+        assert h.shape == governing.shape == actual.shape == (1004,)
+        assert np.all(h > 0.0)
+
+    def test_rejects_empty_block(self):
+        with pytest.raises(ValueError):
+            SimConfig(mode=SimMode.BLOCK, block_len=0)
+
+    def test_fading_constant_within_block(self):
+        h, _, _ = draw(params_for(SET_A, 0.5), self.block_cfg())
+        blocks = h.reshape(-1, self.L)
+        assert np.all(blocks == blocks[:, :1])
+
+    def test_governing_state_is_first_actual_state(self):
+        _, governing, actual = draw(params_for(SET_A, 0.5), self.block_cfg())
+        governing = governing.reshape(-1, self.L)
+        actual = actual.reshape(-1, self.L)
+        assert np.all(governing == actual[:, :1])
+        # The other symbols draw their own states.
+        assert np.any(actual[:, 1:] != actual[:, :1])
+
+    def test_seeded_statistics_of_blocks(self):
+        # 1e5 blocks: per-block fading mean and burst rate near their targets.
+        cfg = self.block_cfg(n_symbols=100_000 * self.L, seed=20260808)
+        h, _, actual = draw(params_for(SET_A, 0.5), cfg)
+        assert 0.99 <= h[::self.L].mean() <= 1.01
+        assert 0.495 <= actual.mean() <= 0.505
+
+    def test_block_states_are_deterministic(self):
+        params = params_for(SET_A, 0.5)
+        one = draw(params, self.block_cfg(seed=11))
+        two = draw(params, self.block_cfg(seed=11))
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))
+
+
 class TestBlockMode:
     @pytest.mark.parametrize("block_len", [2, 4, 16])
     def test_conventional_outage_scales_with_block_len(self, block_len):
@@ -259,6 +320,28 @@ class TestBlockMode:
         assert result.n_symbols % block_len == 0
         assert abs(result.outage_frac - target) <= \
             three_sigma_binomial(target, result.n_symbols)
+
+    @pytest.mark.parametrize("block_len", [1, 4, 8])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rate_matches_block_expectation(self, scheme, block_len):
+        # At block_len 1 no symbol can mismatch, so conventional loses nothing.
+        params = params_for(SET_A, 0.5)
+        cfg = SimConfig(n_symbols=100_000, seed=515, mode=SimMode.BLOCK,
+                        block_len=block_len)
+        result = simulate(params, EM, scheme, cfg)
+        theory = policy_sim_rate(make_policy(scheme, params, EM), params, EM,
+                                 cfg.mode, cfg.block_len)
+        assert abs(result.avg_se - theory) <= max(0.005, 3.0 * result.avg_se_stderr)
+
+    def test_block_stderr_is_block_len_times_variance_bound(self):
+        cfg = SimConfig(n_symbols=8000, seed=3, mode=SimMode.BLOCK, block_len=8)
+        result = simulate(params_for(SET_A, 0.5), EM, Scheme.AGGRESSIVE, cfg)
+        per_symbol = replace(result, mode=SimMode.PER_SYMBOL.value)
+        variance = result.rate_sq_mean - result.avg_se ** 2
+        assert per_symbol.avg_se_stderr == pytest.approx(
+            math.sqrt(variance / result.n_symbols), rel=1e-12)
+        assert result.avg_se_stderr == pytest.approx(
+            math.sqrt(8.0) * per_symbol.avg_se_stderr, rel=1e-12)
 
     def test_rounds_up_to_whole_blocks(self):
         cfg = SimConfig(n_symbols=1001, seed=3, mode=SimMode.BLOCK, block_len=4)
