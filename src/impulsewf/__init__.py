@@ -14,9 +14,8 @@ from .adaptation import (ErrorModel, NoCrossoverError, Policy, Scheme,
                          wf_rate_bits)
 from .channel import ChannelParams, db_to_linear, sample_fading, sinr_of
 from .numerics import ConvergenceError, solve_cutoffs
-from .simulate import (SimConfig, SimMode, SimResult, aggregate, chunk_configs,
-                       chunk_seed, expected_outage, policy_outage, simulate,
-                       simulate_chunked, simulate_policy)
+from .simulate import (SimConfig, SimMode, SimResult, policy_outage,
+                       simulate_policy)
 
 __version__ = "0.1.0"
 
@@ -30,14 +29,10 @@ __all__ = [
     "SimConfig",
     "SimMode",
     "SimResult",
-    "aggregate",
-    "chunk_configs",
-    "chunk_seed",
     "crossover_from_rates",
     "crossover_pth",
     "cutoff_rows",
     "db_to_linear",
-    "expected_outage",
     "impulse_ber_under_conventional",
     "make_policies",
     "make_policy",
@@ -50,8 +45,6 @@ __all__ = [
     "rate_conventional",
     "rate_for",
     "sample_fading",
-    "simulate",
-    "simulate_chunked",
     "simulate_policy",
     "sinr_of",
     "solve_cutoffs",

@@ -56,6 +56,7 @@ __all__ = [
     "outage_prob_conventional",
     "impulse_ber_under_conventional",
     "bursts_lost",
+    "crossover_rates",
     "crossover_pth",
     "crossover_from_rates",
 ]
@@ -301,17 +302,23 @@ def bursts_lost(params: ChannelParams, em: ErrorModel) -> bool:
     return hit_ber > em.target_ber + OUTAGE_GUARD
 
 
+def crossover_rates(params: ChannelParams, em: ErrorModel) -> tuple[float, float]:
+    """Aggressive rate at p = 0 and conservative rate on this link, the two
+    rates that fix the crossover, from one solve call."""
+    at_p0 = replace(params, impulse_prob=0.0)
+    aggressive, conservative = make_policies(
+        [(Scheme.AGGRESSIVE, at_p0), (Scheme.CONSERVATIVE, at_p0)], em)
+    return (policy_rate(aggressive, at_p0, em),
+            policy_rate(conservative, at_p0, em))
+
+
 def crossover_pth(params: ChannelParams, em: ErrorModel) -> float:
     """Burst probability where aggressive and conservative rates intersect.
 
     Aggressive falls linearly from its p = 0 rate while conservative is
     flat, so the crossing is 1 - rate_conservative / rate_aggressive(0).
     """
-    at_p0 = replace(params, impulse_prob=0.0)
-    aggressive, conservative = make_policies(
-        [(Scheme.AGGRESSIVE, at_p0), (Scheme.CONSERVATIVE, at_p0)], em)
-    return crossover_from_rates(policy_rate(aggressive, at_p0, em),
-                                policy_rate(conservative, at_p0, em))
+    return crossover_from_rates(*crossover_rates(params, em))
 
 
 def crossover_from_rates(aggressive_at_p0: float, conservative: float) -> float:

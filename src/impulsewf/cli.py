@@ -29,7 +29,8 @@ import sys
 from dataclasses import dataclass
 
 from .adaptation import (ErrorModel, NoCrossoverError, Policy, Scheme,
-                         crossover_from_rates, make_policies, policy_rate)
+                         crossover_from_rates, crossover_rates, make_policies,
+                         policy_rate)
 from .channel import ChannelParams
 from .numerics import ConvergenceError
 from .simulate import (SimConfig, SimMode, policy_outage, policy_sim_rate,
@@ -197,18 +198,13 @@ def cmd_simulate(spec: SweepSpec) -> str:
                                         cfg.mode, cfg.block_len),
             outage_sim=result.outage_frac,
             mean_power_sim=result.mean_power_frac,
-            seed=result.seed_used))
+            seed=cfg.seed))
     return rows_to_csv(rows)
 
 
 def cmd_crossover(spec: SweepSpec) -> str:
     """Report where the aggressive and conservative rates intersect."""
-    em = spec.error_model()
-    params = spec.params_at(0.0)
-    aggressive, conservative = make_policies(
-        [(Scheme.AGGRESSIVE, params), (Scheme.CONSERVATIVE, params)], em)
-    rate_n0 = policy_rate(aggressive, params, em)
-    rate_i = policy_rate(conservative, params, em)
+    rate_n0, rate_i = crossover_rates(spec.params_at(0.0), spec.error_model())
     lines = [
         f"snr_db={_fmt(spec.snr_db)} mu_db={_fmt(spec.mu_db)}",
         f"aggressive_rate_p0={_fmt(rate_n0)}",

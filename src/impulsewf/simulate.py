@@ -31,23 +31,35 @@ guarantee for them, and the p(1-p) outage law counts exactly these
 mismatch events. Zero-rate symbols never experience an error event under
 the other two schemes.
 
-Determinism: a run is a pure function of (params, error model, scheme,
-config). Chunked runs derive one child seed per chunk from the master seed,
-so serial and thread-parallel execution aggregate bit-identically.
+Determinism and memory: a run is a pure function of (params, error model,
+scheme, config). It reads one PCG64 stream, seeded with ``cfg.seed``, laid
+out as consecutive segments. Per-symbol mode: the fading uniforms at
+draws [0, n), the governing states at [n, 2n) and the actual states at
+[2n, 3n). Block mode, with B blocks of L symbols: the per-block fading at
+[0, B), then the row-major (B, L) burst mask at [B, B + B*L). The run is
+evaluated in windows of ``WINDOW`` symbols (whole blocks in block mode:
+``max(1, WINDOW // block_len)`` per window), each segment read forward
+from a generator positioned with ``PCG64.advance``; only integer counts
+and float sums cross windows. Peak memory is therefore
+O(max(WINDOW, block_len)) symbols whatever ``n_symbols`` is, and
+``SimConfig`` keeps ``block_len <= n_symbols`` in block mode so that a
+block is never longer than the run. The window size does not change the
+draws: counts and outage are exact, and the float sums move only by their
+summation order (last digits).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import exp1
 
 from .adaptation import (LOG2_E, ErrorModel, Policy, Scheme, bursts_lost,
-                         make_policy, outage_prob_conventional, policy_rate,
+                         outage_prob_conventional, policy_rate,
                          wf_power_fraction, wf_rate_bits)
 from .channel import ChannelParams, sample_fading, sinr_of
 
@@ -56,15 +68,12 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "simulate_policy",
-    "simulate",
-    "aggregate",
-    "chunk_seed",
-    "chunk_configs",
-    "simulate_chunked",
     "policy_outage",
     "policy_sim_rate",
-    "expected_outage",
 ]
+
+# Symbols evaluated at once; bounds the simulator's memory.
+WINDOW = 2 ** 20
 
 
 class SimMode(Enum):
@@ -74,7 +83,11 @@ class SimMode(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Size, seed and sampling mode of one simulation run."""
+    """Size, seed and sampling mode of one simulation run.
+
+    In block mode ``block_len`` may not exceed ``n_symbols``: a block is
+    drawn whole, so a longer one would simulate more symbols than asked.
+    """
 
     n_symbols: int = 100_000
     seed: int = 12345
@@ -88,19 +101,23 @@ class SimConfig:
             raise ValueError(f"block_len must be >= 1, got {self.block_len}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.mode is SimMode.BLOCK and self.block_len > self.n_symbols:
+            raise ValueError(f"block_len must not exceed n_symbols in block "
+                             f"mode, got block_len={self.block_len} > "
+                             f"n_symbols={self.n_symbols}")
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Empirical outcome of a run (or a merge of runs).
+    """Empirical outcome of a run.
 
     ``counts`` tallies symbols by (governing burst state, actual burst
     state), where the governing state is the one the scheme adapted on:
     the sampled feedback state for conventional, always-clean for
     aggressive, always-hit for conservative. ``rate_sq_mean`` carries the
-    second moment of the per-symbol credited rate so standard errors
-    survive aggregation. In block mode ``n_symbols`` is the value after
-    rounding up to whole blocks.
+    second moment of the per-symbol credited rate for the standard error.
+    In block mode ``n_symbols`` is the value after rounding up to whole
+    blocks.
     """
 
     scheme: str
@@ -112,7 +129,6 @@ class SimResult:
     mean_power_frac: float
     rate_sq_mean: float
     counts: tuple[tuple[int, int], tuple[int, int]]
-    seed_used: int
 
     @property
     def avg_se_stderr(self) -> float:
@@ -127,22 +143,67 @@ class SimResult:
         return math.sqrt(variance / self.n_symbols)
 
 
-def _draw_states(params: ChannelParams, cfg: SimConfig,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample (fading power, governing state, actual state) per symbol."""
+def _stream(seed: int, offset: int) -> np.random.Generator:
+    """Generator reading the run's PCG64 stream from draw ``offset`` on."""
+    return np.random.Generator(np.random.PCG64(seed).advance(offset))
+
+
+def _draw_windows(params: ChannelParams, cfg: SimConfig
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (fading power, governing state, actual state) per symbol, one
+    window at a time, in stream order (layout in the module docstring)."""
     p = params.impulse_prob
     if cfg.mode is SimMode.PER_SYMBOL:
         n = cfg.n_symbols
-        h = sample_fading(rng, n)
-        governing = rng.random(n) < p
-        actual = rng.random(n) < p
-        return h, governing, actual
-    n_blocks = -(-cfg.n_symbols // cfg.block_len)
-    h = np.repeat(sample_fading(rng, n_blocks), cfg.block_len)
-    mask = rng.random((n_blocks, cfg.block_len)) < p
-    governing = np.repeat(mask[:, 0], cfg.block_len)
-    actual = mask.reshape(-1)
-    return h, governing, actual
+        fading, governing, actual = (_stream(cfg.seed, k * n) for k in range(3))
+        for start in range(0, n, WINDOW):
+            size = min(WINDOW, n - start)
+            yield (sample_fading(fading, size), governing.random(size) < p,
+                   actual.random(size) < p)
+        return
+    block_len = cfg.block_len
+    n_blocks = -(-cfg.n_symbols // block_len)
+    fading, bursts = _stream(cfg.seed, 0), _stream(cfg.seed, n_blocks)
+    step = max(1, WINDOW // block_len)
+    for start in range(0, n_blocks, step):
+        size = min(step, n_blocks - start)
+        mask = bursts.random((size, block_len)) < p
+        yield (np.repeat(sample_fading(fading, size), block_len),
+               np.repeat(mask[:, 0], block_len), mask.reshape(-1))
+
+
+def _window_sums(policy: Policy, params: ChannelParams, lost: bool,
+                 h: np.ndarray, governing: np.ndarray, actual: np.ndarray
+                 ) -> tuple[float, float, float, int, np.ndarray]:
+    """Credited rate, its square, power and outage summed over one window,
+    and the (governing, actual) tallies, flattened row-major."""
+    scheme = policy.scheme
+    if scheme is Scheme.CONVENTIONAL:
+        basis = sinr_of(params, h, governing, params.avg_power)
+    else:
+        basis = h
+    power = wf_power_fraction(basis, policy)
+    transmitted = power > 0.0
+    rate = np.where(transmitted, wf_rate_bits(basis, policy), 0.0)
+
+    # Realised BER of a transmitted symbol is the target unless a burst
+    # defeats a clean governing assumption (see bursts_lost).
+    if not lost:
+        outage = np.zeros(h.size, dtype=bool)
+    elif scheme is Scheme.CONVENTIONAL:
+        outage = ~governing & actual
+    else:
+        outage = transmitted & actual
+
+    credited = np.where(transmitted & ~outage, rate, 0.0)
+
+    if scheme is Scheme.CONVENTIONAL:
+        governing_row = governing
+    else:
+        governing_row = np.full(h.size, scheme is Scheme.CONSERVATIVE)
+    tallies = np.bincount(2 * governing_row.astype(np.int64) + actual, minlength=4)
+    return (float(credited.sum()), float((credited ** 2).sum()),
+            float(power.sum()), int(outage.sum()), tallies)
 
 
 def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
@@ -157,132 +218,35 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
     H itself. ``avg_se`` averages the rate of transmitted,
     non-outage symbols over all symbols; ``mean_power_frac`` averages the
     spent power fraction over all symbols including the zero-power ones
-    below the cutoff.
+    below the cutoff. The run is evaluated window by window, so memory
+    stays bounded whatever ``cfg.n_symbols`` is.
     """
-    scheme = policy.scheme
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    h, governing, actual = _draw_states(params, cfg, rng)
-    n = h.size
-
-    if scheme is Scheme.CONVENTIONAL:
-        basis = sinr_of(params, h, governing, params.avg_power)
-    else:
-        basis = h
-    power = wf_power_fraction(basis, policy)
-    transmitted = power > 0.0
-    rate = np.where(transmitted, wf_rate_bits(basis, policy), 0.0)
-
-    # Realised BER of a transmitted symbol is the target unless a burst
-    # defeats a clean governing assumption (see bursts_lost).
-    if scheme is Scheme.CONSERVATIVE or not bursts_lost(params, em):
-        outage = np.zeros(n, dtype=bool)
-    elif scheme is Scheme.CONVENTIONAL:
-        outage = ~governing & actual
-    else:
-        outage = transmitted & actual
-
-    credited = np.where(transmitted & ~outage, rate, 0.0)
-
-    if scheme is Scheme.CONVENTIONAL:
-        governing_row = governing
-    else:
-        governing_row = np.full(n, scheme is Scheme.CONSERVATIVE)
-    tallies = np.bincount(2 * governing_row.astype(np.int64) + actual, minlength=4)
+    lost = policy.scheme is not Scheme.CONSERVATIVE and bursts_lost(params, em)
+    n = outages = 0
+    rate_sum = rate_sq_sum = power_sum = 0.0
+    tallies = np.zeros(4, dtype=np.int64)
+    for h, governing, actual in _draw_windows(params, cfg):
+        rate, rate_sq, power, outage, counts = _window_sums(
+            policy, params, lost, h, governing, actual)
+        n += h.size
+        rate_sum += rate
+        rate_sq_sum += rate_sq
+        power_sum += power
+        outages += outage
+        tallies += counts
 
     return SimResult(
-        scheme=scheme.value,
+        scheme=policy.scheme.value,
         mode=cfg.mode.value,
         block_len=cfg.block_len,
         n_symbols=n,
-        avg_se=float(credited.sum() / n),
-        outage_frac=float(outage.sum() / n),
-        mean_power_frac=float(power.sum() / n),
-        rate_sq_mean=float((credited ** 2).sum() / n),
+        avg_se=rate_sum / n,
+        outage_frac=outages / n,
+        mean_power_frac=power_sum / n,
+        rate_sq_mean=rate_sq_sum / n,
         counts=((int(tallies[0]), int(tallies[1])),
                 (int(tallies[2]), int(tallies[3]))),
-        seed_used=cfg.seed,
     )
-
-
-def simulate(params: ChannelParams, em: ErrorModel, scheme: Scheme,
-             cfg: SimConfig) -> SimResult:
-    """Solve ``scheme``'s cutoff on this link and run :func:`simulate_policy`."""
-    return simulate_policy(make_policy(scheme, params, em), params, em, cfg)
-
-
-def aggregate(results: list[SimResult]) -> SimResult:
-    """Count-weighted merge of per-chunk results.
-
-    Equivalent to a single run over the concatenated streams; merging in
-    list order keeps the floating-point reduction deterministic.
-    """
-    if not results:
-        raise ValueError("nothing to aggregate")
-    first = results[0]
-    for r in results[1:]:
-        if (r.scheme, r.mode, r.block_len) != (first.scheme, first.mode,
-                                               first.block_len):
-            raise ValueError(
-                f"mismatched chunk configs: {(r.scheme, r.mode, r.block_len)} "
-                f"vs {(first.scheme, first.mode, first.block_len)}")
-    n = sum(r.n_symbols for r in results)
-    counts = [[0, 0], [0, 0]]
-    for r in results:
-        for i in (0, 1):
-            for j in (0, 1):
-                counts[i][j] += r.counts[i][j]
-
-    def weighted(field: str) -> float:
-        return sum(getattr(r, field) * r.n_symbols for r in results) / n
-
-    return SimResult(
-        scheme=first.scheme,
-        mode=first.mode,
-        block_len=first.block_len,
-        n_symbols=n,
-        avg_se=weighted("avg_se"),
-        outage_frac=weighted("outage_frac"),
-        mean_power_frac=weighted("mean_power_frac"),
-        rate_sq_mean=weighted("rate_sq_mean"),
-        counts=((counts[0][0], counts[0][1]), (counts[1][0], counts[1][1])),
-        seed_used=first.seed_used,
-    )
-
-
-def chunk_seed(master_seed: int, index: int) -> int:
-    """Child seed for chunk ``index`` of a run seeded with ``master_seed``."""
-    state = np.random.SeedSequence([master_seed, index]).generate_state(2, np.uint64)
-    return (int(state[0]) << 64) | int(state[1])
-
-
-def chunk_configs(cfg: SimConfig, n_chunks: int) -> list[SimConfig]:
-    """Split a config into per-chunk configs with derived seeds."""
-    if not 1 <= n_chunks <= cfg.n_symbols:
-        raise ValueError(f"n_chunks must be in [1, n_symbols], got {n_chunks}")
-    base, extra = divmod(cfg.n_symbols, n_chunks)
-    return [replace(cfg, n_symbols=base + (1 if i < extra else 0),
-                    seed=chunk_seed(cfg.seed, i))
-            for i in range(n_chunks)]
-
-
-def simulate_chunked(params: ChannelParams, em: ErrorModel, scheme: Scheme,
-                     cfg: SimConfig, n_chunks: int,
-                     parallel: bool = False) -> SimResult:
-    """Run ``n_chunks`` independent streams and merge them.
-
-    Serial and thread-parallel execution produce bit-identical results
-    because every chunk owns a private generator and the merge happens in
-    chunk order. The cutoff is solved once and shared by the chunks.
-    """
-    configs = chunk_configs(cfg, n_chunks)
-    policy = make_policy(scheme, params, em)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(n_chunks, 8)) as pool:
-            results = list(pool.map(
-                lambda c: simulate_policy(policy, params, em, c), configs))
-    else:
-        results = [simulate_policy(policy, params, em, c) for c in configs]
-    return replace(aggregate(results), seed_used=cfg.seed)
 
 
 def policy_outage(policy: Policy, params: ChannelParams, em: ErrorModel,
@@ -325,10 +289,3 @@ def policy_sim_rate(policy: Policy, params: ChannelParams, em: ErrorModel,
             exp1(policy.threshold / params.mean_sinr_clean))
     return rate
 
-
-def expected_outage(scheme: Scheme, params: ChannelParams, em: ErrorModel,
-                    mode: SimMode = SimMode.PER_SYMBOL,
-                    block_len: int = 4) -> float:
-    """Solve ``scheme``'s cutoff on this link and apply :func:`policy_outage`."""
-    return policy_outage(make_policy(scheme, params, em), params, em,
-                         mode, block_len)

@@ -8,12 +8,12 @@ symbols, counting laws use 3 binomial sigma.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import exp1 as exp_integral_e1
 
+from impulsewf import simulate
 from impulsewf.adaptation import (ErrorModel, Scheme, crossover_pth,
                                   cutoff_rows, impulse_ber_under_conventional,
                                   make_policy, rate_aggressive,
@@ -22,8 +22,7 @@ from impulsewf.adaptation import (ErrorModel, Scheme, crossover_pth,
 from impulsewf.channel import ChannelParams
 from impulsewf.cli import cmd_simulate, cmd_theory, parse_csv, resolve_spec
 from impulsewf.numerics import budget_rows
-from impulsewf.simulate import (SimConfig, aggregate, chunk_configs, simulate,
-                                simulate_chunked)
+from impulsewf.simulate import SimConfig, simulate_policy
 from oracles import density_at, integrate_semi_infinite
 
 EM = ErrorModel(target_ber=1e-3)
@@ -52,6 +51,10 @@ POINT_TOL = 2e-3
 
 def params_for(config, p):
     return ChannelParams(impulse_prob=p, **config)
+
+
+def run(params, scheme, cfg):
+    return simulate_policy(make_policy(scheme, params, EM), params, EM, cfg)
 
 
 def spec_for(config, **overrides):
@@ -105,7 +108,7 @@ def test_criterion_3_monte_carlo_agreement():
         for p in GRID:
             params = params_for(config, p)
             for scheme in Scheme:
-                result = simulate(params, EM, scheme, cfg)
+                result = run(params, scheme, cfg)
                 theory = rate_for(scheme, params, EM)
                 tol = max(0.005, 3.0 * result.avg_se_stderr)
                 diff = abs(result.avg_se - theory)
@@ -126,12 +129,12 @@ def test_criterion_4_outage_law():
     for config in (SET_A, SET_B):
         for p in GRID:
             params = params_for(config, p)
-            conventional = simulate(params, EM, Scheme.CONVENTIONAL, cfg)
+            conventional = run(params, Scheme.CONVENTIONAL, cfg)
             target = p * (1.0 - p)
             sigma = math.sqrt(target * (1.0 - target) / conventional.n_symbols)
             assert abs(conventional.outage_frac - target) <= 3.0 * sigma, \
                 f"{config} p={p}: outage {conventional.outage_frac} vs {target}"
-            conservative = simulate(params, EM, Scheme.CONSERVATIVE, cfg)
+            conservative = run(params, Scheme.CONSERVATIVE, cfg)
             assert conservative.outage_frac == 0.0
     print("\nACCEPTANCE 4 PASS: conventional outage tracks p(1-p) within "
           "3 binomial sigma at every grid p; conservative outage exactly 0")
@@ -185,7 +188,7 @@ def test_criterion_7_property_suite():
                 policy.threshold)
             assert spent == pytest.approx(1.0, abs=1e-6)
             # Empirical power budget.
-            result = simulate(params, EM, scheme, cfg)
+            result = run(params, scheme, cfg)
             assert result.mean_power_frac == pytest.approx(1.0, abs=0.02)
 
     # Aggressive linearity in p, exact in floats.
@@ -212,19 +215,22 @@ def test_criterion_7_property_suite():
           "degeneracies, burst-hit BER identity)")
 
 
-def test_criterion_8_determinism():
+def test_criterion_8_determinism(monkeypatch):
     spec = spec_for(SET_A, symbols=20_000, p_grid="0.2,0.5,0.8")
     assert cmd_simulate(spec) == cmd_simulate(spec)
 
+    # One stream read in windows: a window of 7919 symbols (12 full and a
+    # partial one) gives the same run as a single window.
     params = params_for(SET_A, 0.5)
     cfg = SimConfig(n_symbols=100_000, seed=12345)
-    chunked_parallel = simulate_chunked(params, EM, Scheme.CONVENTIONAL, cfg,
-                                        n_chunks=8, parallel=True)
-    single_runs = [simulate(params, EM, Scheme.CONVENTIONAL, c)
-                   for c in chunk_configs(cfg, 8)]
-    merged = aggregate(single_runs)
-    assert chunked_parallel.counts == merged.counts
-    assert chunked_parallel == replace(merged, seed_used=cfg.seed)
+    whole = run(params, Scheme.CONVENTIONAL, cfg)
+    monkeypatch.setattr(simulate, "WINDOW", 7919)
+    windowed = run(params, Scheme.CONVENTIONAL, cfg)
+    assert windowed.counts == whole.counts
+    assert windowed.outage_frac == whole.outage_frac
+    assert windowed.n_symbols == whole.n_symbols
+    for field in ("avg_se", "mean_power_frac", "rate_sq_mean"):
+        assert getattr(windowed, field) == pytest.approx(
+            getattr(whole, field), rel=1e-12, abs=0.0)
     print("\nACCEPTANCE 8 PASS: fixed-seed CSV byte-identical; "
-          "chunked-parallel and single-stream chunk runs merge to "
-          "identical counts")
+          "windowed and single-window runs of one stream agree")

@@ -1,7 +1,6 @@
 """CLI behaviour: CSV determinism, golden sweep values, exit codes, config,
 errors and repeated calls in one process."""
 
-import importlib
 import json
 import os
 import subprocess
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import impulsewf
-from impulsewf import cli
+from impulsewf import cli, simulate
 from impulsewf.cli import (CSV_HEADER, main, parse_csv, resolve_spec,
                            rows_to_csv)
 from impulsewf.numerics import ConvergenceError
@@ -173,8 +172,6 @@ class TestVerifyCommand:
         assert "verified 33/33 rows" in out
 
     def test_wrong_theory_is_flagged(self, capsys, monkeypatch):
-        # ``impulsewf.simulate`` is the function; the module is looked up.
-        simulate = importlib.import_module("impulsewf.simulate")
         rate = simulate.policy_rate
         monkeypatch.setattr(simulate, "policy_rate",
                             lambda *args: rate(*args) + 0.1)
@@ -291,6 +288,14 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "inr_db" in err
+
+    def test_block_longer_than_run_is_config_error(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--symbols", "1", "--mode",
+                                      "block", "--block-len", "2000000"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: block_len must not exceed")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--snr-db", "--mu-db"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -23,3 +23,7 @@ def test_package_names_come_from_module_lists():
     for short in MODULES:
         exported |= set(importlib.import_module(f"impulsewf.{short}").__all__)
     assert sorted(set(impulsewf.__all__) - exported) == []
+
+
+def test_simulate_is_the_module():
+    assert importlib.import_module("impulsewf.simulate") is impulsewf.simulate

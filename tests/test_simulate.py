@@ -1,19 +1,21 @@
-"""Monte Carlo engine: laws, determinism, chunk merging, block mode."""
+"""Monte Carlo engine: laws, determinism, windowed reading, block mode."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from impulsewf import simulate
 from impulsewf.adaptation import (ErrorModel, Scheme,
                                   impulse_ber_under_conventional, make_policy,
                                   qam_ber, rate_for, wf_power_fraction,
                                   wf_rate_bits)
 from impulsewf.channel import ChannelParams, sinr_of
-from impulsewf.simulate import (SimConfig, SimMode, _draw_states, aggregate,
-                                chunk_configs, chunk_seed, expected_outage,
-                                policy_sim_rate, simulate, simulate_chunked)
+from impulsewf.simulate import (SimConfig, SimMode, _draw_windows,
+                                policy_outage, policy_sim_rate,
+                                simulate_policy)
 
 EM = ErrorModel(target_ber=1e-3)
 SET_A = dict(snr_db=0.0, inr_db=0.0)
@@ -28,8 +30,14 @@ def three_sigma_binomial(q, n):
     return 3.0 * math.sqrt(q * (1.0 - q) / n)
 
 
+def run(params, scheme, cfg):
+    return simulate_policy(make_policy(scheme, params, EM), params, EM, cfg)
+
+
 def draw(params, cfg):
-    return _draw_states(params, cfg, np.random.Generator(np.random.PCG64(cfg.seed)))
+    """(fading power, governing state, actual state) of the whole run."""
+    windows = list(_draw_windows(params, cfg))
+    return tuple(np.concatenate(arrays) for arrays in zip(*windows))
 
 
 def adaptation_basis(scheme, params, h, governing):
@@ -45,14 +53,14 @@ class TestAdaptationBasis:
     # every p; a scheme that adapts on H alone then spends identical power.
     def test_conservative_ignores_burst_states(self):
         cfg = SimConfig(n_symbols=20_000, seed=8)
-        spent = [simulate(params_for(SET_B, p), EM, Scheme.CONSERVATIVE,
-                          cfg).mean_power_frac for p in (0.0, 0.5, 1.0)]
+        spent = [run(params_for(SET_B, p), Scheme.CONSERVATIVE,
+                     cfg).mean_power_frac for p in (0.0, 0.5, 1.0)]
         assert spent[0] == spent[1] == spent[2]
 
     def test_aggressive_ignores_burst_states(self):
         cfg = SimConfig(n_symbols=20_000, seed=8)
-        spent = [simulate(params_for(SET_B, p), EM, Scheme.AGGRESSIVE,
-                          cfg).mean_power_frac for p in (0.0, 0.5, 1.0)]
+        spent = [run(params_for(SET_B, p), Scheme.AGGRESSIVE,
+                     cfg).mean_power_frac for p in (0.0, 0.5, 1.0)]
         assert spent[0] == spent[1] == spent[2]
 
 
@@ -62,26 +70,26 @@ class TestAgainstTheory:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_rate_matches_closed_form(self, config, p, scheme):
         params = params_for(config, p)
-        result = simulate(params, EM, scheme, SimConfig(seed=2024))
+        result = run(params, scheme, SimConfig(seed=2024))
         theory = rate_for(scheme, params, EM)
         tol = max(0.005, 3.0 * result.avg_se_stderr)
         assert abs(result.avg_se - theory) <= tol
 
     def test_conservative_example(self):
         for p in (0.1, 0.6, 1.0):
-            result = simulate(params_for(SET_A, p), EM, Scheme.CONSERVATIVE,
-                              SimConfig(seed=31))
+            result = run(params_for(SET_A, p), Scheme.CONSERVATIVE,
+                         SimConfig(seed=31))
             assert result.avg_se == pytest.approx(0.3064, abs=0.005)
             assert result.outage_frac == 0.0
 
     def test_conventional_example(self):
-        result = simulate(params_for(SET_A, 0.5), EM, Scheme.CONVENTIONAL,
-                          SimConfig(seed=31))
+        result = run(params_for(SET_A, 0.5), Scheme.CONVENTIONAL,
+                     SimConfig(seed=31))
         assert result.avg_se == pytest.approx(0.2544, abs=0.005)
 
     def test_aggressive_all_bursts(self):
         params = params_for(SET_A, 1.0)
-        result = simulate(params, EM, Scheme.AGGRESSIVE, SimConfig(seed=31))
+        result = run(params, Scheme.AGGRESSIVE, SimConfig(seed=31))
         assert result.avg_se == 0.0
         # Everything transmitted is lost, so outage is the above-cutoff mass.
         policy = make_policy(Scheme.AGGRESSIVE, params, EM)
@@ -92,8 +100,8 @@ class TestAgainstTheory:
 class TestOutageLaws:
     @pytest.mark.parametrize("p", [i / 10 for i in range(11)])
     def test_conventional_mismatch_law(self, p):
-        result = simulate(params_for(SET_A, p), EM, Scheme.CONVENTIONAL,
-                          SimConfig(seed=88))
+        result = run(params_for(SET_A, p), Scheme.CONVENTIONAL,
+                     SimConfig(seed=88))
         target = p * (1.0 - p)
         assert abs(result.outage_frac - target) <= \
             three_sigma_binomial(target, result.n_symbols)
@@ -101,29 +109,28 @@ class TestOutageLaws:
     @pytest.mark.parametrize("p", [0.0, 0.4, 0.9])
     def test_aggressive_transmitted_burst_law(self, p):
         params = params_for(SET_B, p)
-        result = simulate(params, EM, Scheme.AGGRESSIVE, SimConfig(seed=88))
-        target = expected_outage(Scheme.AGGRESSIVE, params, EM)
+        result = run(params, Scheme.AGGRESSIVE, SimConfig(seed=88))
+        target = policy_outage(make_policy(Scheme.AGGRESSIVE, params, EM),
+                               params, EM)
         assert abs(result.outage_frac - target) <= \
             three_sigma_binomial(max(target, 1e-9), result.n_symbols)
 
     def test_conservative_never(self):
         for p in (0.2, 0.7):
-            result = simulate(params_for(SET_B, p), EM, Scheme.CONSERVATIVE,
-                              SimConfig(seed=88))
+            result = run(params_for(SET_B, p), Scheme.CONSERVATIVE,
+                         SimConfig(seed=88))
             assert result.outage_frac == 0.0
 
     def test_no_outage_without_interference_power(self):
         params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=0.5)
         for scheme in Scheme:
-            result = simulate(params, EM, scheme, SimConfig(n_symbols=20_000,
-                                                            seed=5))
+            result = run(params, scheme, SimConfig(n_symbols=20_000, seed=5))
             assert result.outage_frac == 0.0
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("config", [SET_A, SET_B])
     def test_power_budget_met_empirically(self, scheme, config):
-        result = simulate(params_for(config, 0.5), EM, scheme,
-                          SimConfig(seed=404))
+        result = run(params_for(config, 0.5), scheme, SimConfig(seed=404))
         assert result.mean_power_frac == pytest.approx(1.0, abs=0.02)
 
 
@@ -134,8 +141,7 @@ class TestPerSymbolBerEquivalence:
     def test_accounting_matches_qam_ber(self, scheme):
         params = params_for(SET_A, 0.4)
         cfg = SimConfig(n_symbols=2000, seed=99)
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        h, governing, actual = _draw_states(params, cfg, rng)
+        h, governing, actual = draw(params, cfg)
         policy = make_policy(scheme, params, EM)
         basis = adaptation_basis(scheme, params, h, governing)
         power = wf_power_fraction(basis, policy)
@@ -155,7 +161,7 @@ class TestPerSymbolBerEquivalence:
         rate = np.where(transmitted, wf_rate_bits(basis, policy), 0.0)
         expected_se = rate[transmitted & ~outage].sum() / h.size
 
-        result = simulate(params, EM, scheme, cfg)
+        result = run(params, scheme, cfg)
         assert result.outage_frac == outage.mean()
         assert result.avg_se == pytest.approx(expected_se, rel=1e-12)
         assert result.mean_power_frac == power.mean()
@@ -167,7 +173,7 @@ class TestPerSymbolBerEquivalence:
         h, governing, _ = draw(params, cfg)
         policy = make_policy(Scheme.CONVENTIONAL, params, EM)
         power = wf_power_fraction(sinr_of(params, h, governing, 1.0), policy)
-        result = simulate(params, EM, Scheme.CONVENTIONAL, cfg)
+        result = run(params, Scheme.CONVENTIONAL, cfg)
         assert result.mean_power_frac == power.sum() / h.size
 
 
@@ -175,22 +181,22 @@ class TestDeterminismAndCounts:
     def test_bit_identical_reruns(self):
         params = params_for(SET_A, 0.3)
         cfg = SimConfig(seed=777)
-        assert simulate(params, EM, Scheme.CONVENTIONAL, cfg) == \
-            simulate(params, EM, Scheme.CONVENTIONAL, cfg)
+        assert run(params, Scheme.CONVENTIONAL, cfg) == \
+            run(params, Scheme.CONVENTIONAL, cfg)
 
     def test_counts_sum_and_rows(self):
         params = params_for(SET_A, 0.3)
-        result = simulate(params, EM, Scheme.CONVENTIONAL, SimConfig(seed=1))
+        result = run(params, Scheme.CONVENTIONAL, SimConfig(seed=1))
         assert sum(sum(row) for row in result.counts) == result.n_symbols
-        aggressive = simulate(params, EM, Scheme.AGGRESSIVE, SimConfig(seed=1))
+        aggressive = run(params, Scheme.AGGRESSIVE, SimConfig(seed=1))
         assert aggressive.counts[1] == (0, 0)  # believes clean throughout
-        conservative = simulate(params, EM, Scheme.CONSERVATIVE, SimConfig(seed=1))
+        conservative = run(params, Scheme.CONSERVATIVE, SimConfig(seed=1))
         assert conservative.counts[0] == (0, 0)  # believes hit throughout
 
     def test_conventional_count_cells_near_joint_probabilities(self):
         p = 0.3
-        result = simulate(params_for(SET_A, p), EM, Scheme.CONVENTIONAL,
-                          SimConfig(seed=6))
+        result = run(params_for(SET_A, p), Scheme.CONVENTIONAL,
+                     SimConfig(seed=6))
         n = result.n_symbols
         joint = [[(1 - p) * (1 - p), (1 - p) * p], [p * (1 - p), p * p]]
         for i in (0, 1):
@@ -199,65 +205,78 @@ class TestDeterminismAndCounts:
                     three_sigma_binomial(joint[i][j], n)
 
 
-class TestAggregation:
-    def test_single_chunk_is_identity(self):
-        result = simulate(params_for(SET_A, 0.4), EM, Scheme.AGGRESSIVE,
-                          SimConfig(seed=9))
-        assert aggregate([result]) == result
+class TestWindows:
+    """One stream, read in windows: the window size changes no draw."""
 
-    def test_two_equal_halves_average(self):
+    @staticmethod
+    def assert_same_run(windowed, whole):
+        assert windowed.counts == whole.counts
+        assert windowed.outage_frac == whole.outage_frac
+        assert windowed.n_symbols == whole.n_symbols
+        for field in ("avg_se", "mean_power_frac", "rate_sq_mean"):
+            assert getattr(windowed, field) == pytest.approx(
+                getattr(whole, field), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("config", [SET_A, SET_B])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_per_symbol_window_independence(self, monkeypatch, scheme, config):
+        # 10 full windows of 1000 symbols and a partial one of 500.
+        params = params_for(config, 0.4)
+        cfg = SimConfig(n_symbols=10_500, seed=21)
+        whole = run(params, scheme, cfg)
+        monkeypatch.setattr(simulate, "WINDOW", 1000)
+        self.assert_same_run(run(params, scheme, cfg), whole)
+
+    @pytest.mark.parametrize("window,n_symbols", [(1000, 10_001), (3, 101)])
+    @pytest.mark.parametrize("block_len", [4, 8])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_block_window_independence(self, monkeypatch, scheme, block_len,
+                                       window, n_symbols):
+        # 1000 // L blocks per window does not divide the 2501 (L = 4) or
+        # 1251 (L = 8) blocks; a window shorter than a block holds one.
         params = params_for(SET_A, 0.4)
-        half_a = simulate(params, EM, Scheme.AGGRESSIVE,
-                          SimConfig(n_symbols=5000, seed=1))
-        half_b = simulate(params, EM, Scheme.AGGRESSIVE,
-                          SimConfig(n_symbols=5000, seed=2))
-        merged = aggregate([half_a, half_b])
-        assert merged.n_symbols == 10_000
-        assert merged.avg_se == pytest.approx(
-            0.5 * (half_a.avg_se + half_b.avg_se), rel=1e-15)
+        cfg = SimConfig(n_symbols=n_symbols, seed=22, mode=SimMode.BLOCK,
+                        block_len=block_len)
+        whole = run(params, scheme, cfg)
+        monkeypatch.setattr(simulate, "WINDOW", window)
+        self.assert_same_run(run(params, scheme, cfg), whole)
 
-    def test_mismatched_chunks_rejected(self):
-        params = params_for(SET_A, 0.4)
-        one = simulate(params, EM, Scheme.AGGRESSIVE, SimConfig(seed=1))
-        other = simulate(params, EM, Scheme.CONSERVATIVE, SimConfig(seed=1))
-        with pytest.raises(ValueError):
-            aggregate([one, other])
-        with pytest.raises(ValueError):
-            aggregate([])
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_stream_layout(self, monkeypatch, mode):
+        # Consecutive segments of one PCG64 stream, whatever the window.
+        p = 0.4
+        cfg = SimConfig(n_symbols=1000, seed=23, mode=mode, block_len=4)
+        monkeypatch.setattr(simulate, "WINDOW", 96)
+        h, governing, actual = draw(params_for(SET_A, p), cfg)
+        if mode is SimMode.PER_SYMBOL:
+            u = np.random.Generator(np.random.PCG64(23)).random(3000)
+            assert np.array_equal(h, -np.log1p(-u[:1000]))
+            assert np.array_equal(governing, u[1000:2000] < p)
+            assert np.array_equal(actual, u[2000:] < p)
+        else:
+            u = np.random.Generator(np.random.PCG64(23)).random(250 + 1000)
+            mask = u[250:].reshape(250, 4) < p
+            assert np.array_equal(h, np.repeat(-np.log1p(-u[:250]), 4))
+            assert np.array_equal(governing, np.repeat(mask[:, 0], 4))
+            assert np.array_equal(actual, mask.reshape(-1))
 
-    def test_chunked_merge_equals_manual_chunk_runs(self):
-        params = params_for(SET_A, 0.6)
-        cfg = SimConfig(n_symbols=100_000, seed=4242)
-        chunked = simulate_chunked(params, EM, Scheme.CONVENTIONAL, cfg,
-                                   n_chunks=8)
-        manual = [simulate(params, EM, Scheme.CONVENTIONAL, c)
-                  for c in chunk_configs(cfg, 8)]
-        merged = aggregate(manual)
-        assert chunked.counts == merged.counts
-        assert chunked == replace(merged, seed_used=cfg.seed)
+    def test_peak_memory_flat_in_run_length(self):
+        params = params_for(SET_A, 0.5)
+        policy = make_policy(Scheme.CONVENTIONAL, params, EM)
 
-    def test_parallel_equals_serial(self):
-        params = params_for(SET_B, 0.5)
-        cfg = SimConfig(n_symbols=40_000, seed=31337)
-        serial = simulate_chunked(params, EM, Scheme.CONVENTIONAL, cfg,
-                                  n_chunks=4, parallel=False)
-        parallel = simulate_chunked(params, EM, Scheme.CONVENTIONAL, cfg,
-                                    n_chunks=4, parallel=True)
-        assert serial == parallel
-
-    def test_chunk_seeds_distinct_and_stable(self):
-        seeds = [chunk_seed(123, i) for i in range(8)]
-        assert len(set(seeds)) == 8
-        assert seeds == [chunk_seed(123, i) for i in range(8)]
-
-    def test_chunk_sizes_cover_total(self):
-        cfg = SimConfig(n_symbols=100_001, seed=0)
-        configs = chunk_configs(cfg, 8)
-        assert sum(c.n_symbols for c in configs) == 100_001
+        def peak(n_symbols):
+            tracemalloc.start()
+            try:
+                simulate_policy(policy, params, EM,
+                                SimConfig(n_symbols=n_symbols, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(4 * simulate.WINDOW) <= 1.25 * peak(simulate.WINDOW)
 
 
 class TestBlockStates:
-    """The block path of ``_draw_states``, the sampler the simulator uses."""
+    """The block path of ``_draw_windows``, the sampler the simulator uses."""
 
     L = 4
 
@@ -315,7 +334,7 @@ class TestBlockMode:
         params = params_for(SET_A, p)
         cfg = SimConfig(n_symbols=100_000, seed=515, mode=SimMode.BLOCK,
                         block_len=block_len)
-        result = simulate(params, EM, Scheme.CONVENTIONAL, cfg)
+        result = run(params, Scheme.CONVENTIONAL, cfg)
         target = p * (1.0 - p) * (block_len - 1) / block_len
         assert result.n_symbols % block_len == 0
         assert abs(result.outage_frac - target) <= \
@@ -328,14 +347,14 @@ class TestBlockMode:
         params = params_for(SET_A, 0.5)
         cfg = SimConfig(n_symbols=100_000, seed=515, mode=SimMode.BLOCK,
                         block_len=block_len)
-        result = simulate(params, EM, scheme, cfg)
+        result = run(params, scheme, cfg)
         theory = policy_sim_rate(make_policy(scheme, params, EM), params, EM,
                                  cfg.mode, cfg.block_len)
         assert abs(result.avg_se - theory) <= max(0.005, 3.0 * result.avg_se_stderr)
 
     def test_block_stderr_is_block_len_times_variance_bound(self):
         cfg = SimConfig(n_symbols=8000, seed=3, mode=SimMode.BLOCK, block_len=8)
-        result = simulate(params_for(SET_A, 0.5), EM, Scheme.AGGRESSIVE, cfg)
+        result = run(params_for(SET_A, 0.5), Scheme.AGGRESSIVE, cfg)
         per_symbol = replace(result, mode=SimMode.PER_SYMBOL.value)
         variance = result.rate_sq_mean - result.avg_se ** 2
         assert per_symbol.avg_se_stderr == pytest.approx(
@@ -343,19 +362,27 @@ class TestBlockMode:
         assert result.avg_se_stderr == pytest.approx(
             math.sqrt(8.0) * per_symbol.avg_se_stderr, rel=1e-12)
 
+    def test_block_longer_than_run_rejected(self):
+        with pytest.raises(ValueError, match="block_len must not exceed"):
+            SimConfig(n_symbols=1, mode=SimMode.BLOCK, block_len=2_000_000)
+        # One whole block is fine, and per-symbol mode ignores block_len.
+        SimConfig(n_symbols=8, mode=SimMode.BLOCK, block_len=8)
+        SimConfig(n_symbols=1, block_len=2_000_000)
+
     def test_rounds_up_to_whole_blocks(self):
         cfg = SimConfig(n_symbols=1001, seed=3, mode=SimMode.BLOCK, block_len=4)
-        result = simulate(params_for(SET_A, 0.5), EM, Scheme.CONSERVATIVE, cfg)
+        result = run(params_for(SET_A, 0.5), Scheme.CONSERVATIVE, cfg)
         assert result.n_symbols == 1004
 
-    def test_expected_outage_helper(self):
+    def test_policy_outage_helper(self):
         params = params_for(SET_A, 0.5)
-        per_symbol = expected_outage(Scheme.CONVENTIONAL, params, EM)
-        blocked = expected_outage(Scheme.CONVENTIONAL, params, EM,
-                                  SimMode.BLOCK, 4)
-        assert per_symbol == 0.25
-        assert blocked == 0.25 * 3 / 4
-        assert expected_outage(Scheme.CONSERVATIVE, params, EM) == 0.0
+
+        def outage(scheme, *mode):
+            return policy_outage(make_policy(scheme, params, EM), params, EM,
+                                 *mode)
+        assert outage(Scheme.CONVENTIONAL) == 0.25
+        assert outage(Scheme.CONVENTIONAL, SimMode.BLOCK, 4) == 0.25 * 3 / 4
+        assert outage(Scheme.CONSERVATIVE) == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
