@@ -8,11 +8,10 @@ that measures them, and a CSV-emitting CLI for parameter sweeps.
 from .adaptation import (ErrorModel, NoCrossoverError, Policy, Scheme,
                          crossover_from_rates, crossover_pth, cutoff_rows,
                          impulse_ber_under_conventional, make_policies,
-                         make_policy, outage_prob_conventional, policy_rate,
-                         qam_ber, rate_aggressive, rate_conservative,
-                         rate_conventional, rate_for, wf_power_fraction,
-                         wf_rate_bits)
-from .channel import ChannelParams, db_to_linear, sample_fading, sinr_of
+                         make_policy, policy_rate, qam_ber, rate_aggressive,
+                         rate_conservative, rate_conventional, rate_for,
+                         wf_power_fraction, wf_rate_bits)
+from .channel import ChannelParams, db_to_linear, sample_fading
 from .numerics import ConvergenceError, solve_cutoffs
 from .simulate import (SimConfig, SimMode, SimResult, policy_outage,
                        simulate_policy)
@@ -36,7 +35,6 @@ __all__ = [
     "impulse_ber_under_conventional",
     "make_policies",
     "make_policy",
-    "outage_prob_conventional",
     "policy_outage",
     "policy_rate",
     "qam_ber",
@@ -46,7 +44,6 @@ __all__ = [
     "rate_for",
     "sample_fading",
     "simulate_policy",
-    "sinr_of",
     "solve_cutoffs",
     "wf_power_fraction",
     "wf_rate_bits",

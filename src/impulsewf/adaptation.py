@@ -2,25 +2,27 @@
 
 Continuous-rate M-QAM over the fading channel of :mod:`impulsewf.channel`:
 the transmitter picks a power fraction and constellation size from the
-quantity fed back at the start of each coherence block, holding the
-instantaneous bit error rate at a target while spending the average power
-budget exactly. Three policies differ only in what that fed-back quantity
-is assumed to mean:
+SINR it believes a symbol has, holding the instantaneous bit error rate at
+a target while spending the average power budget exactly. The three
+policies are one rule, water-filling on the SINR, under three beliefs
+about the burst state, and :func:`assumption_weights` is the only place
+that tells them apart:
 
-* ``conventional`` adapts on the first symbol's SINR and prices the budget
-  against the full clean/hit SINR mixture;
-* ``aggressive`` adapts on the fading power H as if bursts never happen;
-* ``conservative`` adapts on H as if every symbol were hit.
+* ``conventional`` believes the burst state fed back at the start of each
+  coherence block, clean with probability 1-p and hit with probability p;
+* ``aggressive`` believes every symbol is clean;
+* ``conservative`` believes every symbol is hit.
 
-Average spectral efficiencies reduce to exponential-integral closed forms
-evaluated at a water-filling cutoff. The schemes differ in one decision
-only: which exponential SINR mixture and which budget constant their
-cutoff is priced on. ``cutoff_rows`` makes it for (scheme, link) pairs,
-``make_policies`` solves the rows in one call of
-:func:`impulsewf.numerics.solve_cutoffs`, and the ``policy_*`` closed forms
-consume the solved policies, so a sweep solves each cutoff once. The
-scalar ``rate_*`` functions wrap the same path for one link. All
-functions are pure and all records immutable.
+A belief is a pair of weights (w_clean, w_hit) on the link's two-state
+SINR table, the means (mean_sinr_clean, mean_sinr_impulse). Every cutoff
+is priced on that table at the budget constant ``k_sinr``, so every
+threshold is on the SINR scale: ``cutoff_rows`` lays out the rows,
+``make_policies`` solves them in one call of
+:func:`impulsewf.numerics.solve_cutoffs`, and ``policy_rate`` reads the
+same weights to give the average spectral efficiency as log2(e) times a
+weighted sum of E1(t / mean). A sweep solves each cutoff once; the scalar
+``rate_*`` functions wrap the same path for one link. All functions are
+pure and all records immutable.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "ErrorModel",
     "Policy",
     "NoCrossoverError",
+    "assumption_weights",
     "qam_ber",
     "wf_power_fraction",
     "wf_rate_bits",
@@ -53,7 +56,6 @@ __all__ = [
     "rate_aggressive",
     "rate_conservative",
     "rate_for",
-    "outage_prob_conventional",
     "impulse_ber_under_conventional",
     "bursts_lost",
     "crossover_rates",
@@ -107,8 +109,8 @@ class ErrorModel:
 class Policy:
     """A solved water-filling policy: scheme, cutoff and budget constant.
 
-    The cutoff lives on the fed-back SINR for conventional and on the
-    fading power H for aggressive and conservative.
+    The cutoff is on the SINR the scheme believes a symbol has, for every
+    scheme, and ``k_used`` is the error model's ``k_sinr``.
     """
 
     scheme: Scheme
@@ -138,7 +140,8 @@ def qam_ber(gamma: float, m: float, ber_coeff: float = 0.2) -> float:
 
 
 def wf_power_fraction(gamma, policy: Policy):
-    """Transmit power fraction P/avg_power at ``gamma``, on the policy's basis.
+    """Transmit power, as a fraction of the average budget, at full-power
+    SINR ``gamma``.
 
     (1/k) * (1/threshold - 1/gamma) above the cutoff, zero at and below it.
     Scalar or array.
@@ -151,40 +154,38 @@ def wf_power_fraction(gamma, policy: Policy):
 def wf_rate_bits(gamma, policy: Policy):
     """Bits per symbol at ``gamma``: log2(gamma/threshold) above the cutoff.
 
-    Equals log2 of the constellation size M = 1 + k * gamma * P/avg_power
-    with the water-filling power substituted. Scalar or array.
+    Equals log2 of the constellation size M = 1 + k * gamma * P, P the
+    water-filling power fraction. Scalar or array.
     """
     g = np.maximum(np.asarray(gamma, dtype=float), policy.threshold)
     out = np.log2(g / policy.threshold)
     return out.item() if out.ndim == 0 else out
 
 
-def cutoff_rows(requests: Sequence[tuple[Scheme, ChannelParams]],
-                em: ErrorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of :func:`impulsewf.numerics.solve_cutoffs`, one per (scheme, link).
+def assumption_weights(scheme: Scheme, p: float) -> tuple[float, float]:
+    """(w_clean, w_hit): the probabilities that ``scheme`` adapts a symbol
+    as if it is burst-free and as if it is hit, at burst probability p.
 
-    Mixture ``weights`` and ``means`` of shape (rows, 2), zero-weight
-    padded, and a budget constant ``k`` per row. Conventional prices its
-    cutoff on the fed-back SINR, the clean/hit exponential mixture with
-    weights 1-p and p, at k_sinr. Aggressive and conservative price theirs
-    on the unit-mean fading power H, at k_sinr * SNR as if no symbol were
-    hit and at that over (1 + INR) as if every symbol were.
+    Conventional believes the fed-back burst state, whose law is (1-p, p);
+    aggressive always believes clean and conservative always believes hit.
     """
-    weights = np.zeros((len(requests), 2))
-    means = np.ones((len(requests), 2))
-    k = np.empty(len(requests))
-    for row, (scheme, params) in enumerate(requests):
-        if scheme is Scheme.CONVENTIONAL:
-            p = params.impulse_prob
-            weights[row] = (1.0 - p, p)
-            means[row] = (params.mean_sinr_clean, params.mean_sinr_impulse)
-            k[row] = em.k_sinr
-            continue
-        weights[row, 0] = 1.0
-        k_clean = em.k_sinr * params.snr_linear
-        k[row] = (k_clean if scheme is Scheme.AGGRESSIVE
-                  else k_clean / (1.0 + params.inr_linear))
-    return weights, means, k
+    if scheme is Scheme.CONVENTIONAL:
+        return 1.0 - p, p
+    return (1.0, 0.0) if scheme is Scheme.AGGRESSIVE else (0.0, 1.0)
+
+
+def cutoff_rows(requests: Sequence[tuple[Scheme, ChannelParams]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture rows of :func:`impulsewf.numerics.solve_cutoffs`, one per
+    (scheme, link): the scheme's :func:`assumption_weights` on the link's
+    SINR means (mean_sinr_clean, mean_sinr_impulse), both of shape
+    (rows, 2). Every row is solved at the budget constant ``k_sinr``.
+    """
+    weights = np.array([assumption_weights(scheme, params.impulse_prob)
+                        for scheme, params in requests]).reshape(-1, 2)
+    means = np.array([(params.mean_sinr_clean, params.mean_sinr_impulse)
+                      for _, params in requests]).reshape(-1, 2)
+    return weights, means
 
 
 def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
@@ -194,10 +195,11 @@ def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
     Each cutoff is solved independently of the others in the call, so
     the result for a pair equals ``make_policy`` on that pair alone.
     """
-    weights, means, k = cutoff_rows(requests, em)
-    thresholds = solve_cutoffs(weights, means, k)
-    return [Policy(scheme=scheme, threshold=float(t), k_used=float(k_row))
-            for (scheme, _), t, k_row in zip(requests, thresholds, k)]
+    weights, means = cutoff_rows(requests)
+    k = em.k_sinr
+    thresholds = solve_cutoffs(weights, means, np.full(len(requests), k))
+    return [Policy(scheme=scheme, threshold=float(t), k_used=k)
+            for (scheme, _), t in zip(requests, thresholds)]
 
 
 def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy:
@@ -210,37 +212,29 @@ def policy_rate(policy: Policy, params: ChannelParams, em: ErrorModel) -> float:
 
     ``policy`` must have been solved for this link and ``em``; the
     aggressive and conservative cutoffs do not depend on the burst
-    probability, so one such policy serves every p. Each rate is log2(e)
-    times a weighted sum of E1(t / mean) over the SINR components the
-    policy earns on. When bursts are lost (see :func:`bursts_lost`):
+    probability, so one such policy serves every p. A symbol believed to
+    be in a state earns log2(e) * E1(t / mean) of that state on average,
+    so with the scheme's weights (w_clean, w_hit) the rate is
 
-    * conventional: (1-p)^2 * E1(t/mean_clean) + p * E1(t/mean_hit). Symbols
-      in a block whose burst state is worse than the fed-back first
-      symbol's miss the BER target and earn nothing, which is what turns
-      the burst-free weight into (1 - p)^2;
-    * aggressive: (1 - p) * E1(t), as every burst-hit symbol misses the
-      target;
-    * conservative: E1(t) for every p, as the target is always met.
+        (1 - p * lost) * w_clean * R_clean + w_hit * R_hit,
 
-    When they are not, no symbol misses the target: conventional earns
-    (1-p) * E1(t/mean_clean) + p * E1(t/mean_hit) and aggressive E1(t).
+    R = log2(e) * E1(t / mean). ``lost`` is :func:`bursts_lost`: a burst
+    on a symbol believed clean then misses the BER target and earns
+    nothing, which costs the believed-clean share the factor 1 - p.
+    Conventional thus earns (1-p)^2 R_clean + p R_hit, aggressive
+    (1 - p) R_clean, exactly linear in p, and conservative R_hit.
 
-    At the cutoff E1(t) equals exp(-t)/t - k, the budget equation, but
-    without the cancellation that form suffers when k is large.
+    For a one-state belief the budget equation makes E1(z), z = t/m,
+    equal exp(-z)/z - k*m at the cutoff; E1 avoids the cancellation that
+    form suffers when k*m is large.
     """
     t = policy.threshold
     p = params.impulse_prob
-    lost = bursts_lost(params, em)
-    if policy.scheme is Scheme.CONVENTIONAL:
-        clean_weight = (1.0 - p) ** 2 if lost else 1.0 - p
-        clean_part = exp1(t / params.mean_sinr_clean)
-        hit_part = exp1(t / params.mean_sinr_impulse)
-        return float(LOG2_E * (clean_weight * clean_part + p * hit_part))
-    burst_free_rate = float(LOG2_E * exp1(t))
-    if policy.scheme is Scheme.AGGRESSIVE and lost:
-        # Scaling the p = 0 rate keeps the linearity in p exact in floats.
-        return (1.0 - p) * burst_free_rate
-    return burst_free_rate
+    w_clean, w_hit = assumption_weights(policy.scheme, p)
+    kept = 1.0 - p if bursts_lost(params, em) else 1.0
+    clean_rate = LOG2_E * exp1(t / params.mean_sinr_clean)
+    hit_rate = LOG2_E * exp1(t / params.mean_sinr_impulse)
+    return float(kept * w_clean * clean_rate + w_hit * hit_rate)
 
 
 def rate_conventional(params: ChannelParams, em: ErrorModel) -> float:
@@ -249,12 +243,14 @@ def rate_conventional(params: ChannelParams, em: ErrorModel) -> float:
 
 
 def rate_aggressive(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of burst-blind water-filling on H."""
+    """Average spectral efficiency of water-filling that assumes every
+    symbol is burst-free."""
     return rate_for(Scheme.AGGRESSIVE, params, em)
 
 
 def rate_conservative(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of worst-case water-filling on H."""
+    """Average spectral efficiency of water-filling that assumes every
+    symbol is hit."""
     return rate_for(Scheme.CONSERVATIVE, params, em)
 
 
@@ -262,16 +258,6 @@ def rate_for(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> float:
     """Closed-form average spectral efficiency of ``scheme`` on this link:
     :func:`policy_rate` at the cutoff solved for it."""
     return policy_rate(make_policy(scheme, params, em), params, em)
-
-
-def outage_prob_conventional(p: float) -> float:
-    """Probability a symbol's burst state is worse than its block's feedback.
-
-    Clean feedback (prob 1-p) combined with a hit symbol (prob p): p(1-p).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return p * (1.0 - p)
 
 
 def impulse_ber_under_conventional(em: ErrorModel, inr_linear: float) -> float:

@@ -4,7 +4,10 @@ The channel power H is unit-mean exponential (squared Rayleigh magnitude)
 and stays constant over a coherence block. Each symbol is independently hit
 by an interference burst with probability ``impulse_prob``; a hit adds
 interference power on top of the thermal noise, scaling the symbol SINR
-down by (1 + INR).
+down by (1 + INR). So the link is a two-state table: a symbol's full-power
+SINR is H times ``mean_sinr_clean`` (the SNR) when it is burst-free and H
+times ``mean_sinr_impulse`` when it is hit. Every cutoff, rate, outage and
+simulated symbol in the package reads these two means.
 
 All parameter records are immutable and safe to share across threads; any
 randomness flows through an explicitly passed numpy Generator.
@@ -21,7 +24,6 @@ __all__ = [
     "db_to_linear",
     "ChannelParams",
     "sample_fading",
-    "sinr_of",
 ]
 
 
@@ -44,15 +46,14 @@ class ChannelParams:
         or -inf, which means bursts carry no interference.
     impulse_prob : float
         Per-symbol probability of an interference burst, in [0, 1].
-    avg_power : float
-        Average transmit power budget. Normalised to one; the closed forms
-        and the simulator agree for any positive value.
+
+    Transmit power is a fraction of the average power budget, so the budget
+    itself never enters: the SNR is the mean SINR at full average power.
     """
 
     snr_db: float
     inr_db: float
     impulse_prob: float
-    avg_power: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.snr_db):
@@ -61,8 +62,6 @@ class ChannelParams:
             raise ValueError(f"inr_db must be finite or -inf, got {self.inr_db}")
         if not 0.0 <= self.impulse_prob <= 1.0:
             raise ValueError(f"impulse_prob must be in [0, 1], got {self.impulse_prob}")
-        if not self.avg_power > 0.0:
-            raise ValueError(f"avg_power must be positive, got {self.avg_power}")
         try:
             snr, inr = self.snr_linear, self.inr_linear
         except OverflowError:
@@ -83,15 +82,6 @@ class ChannelParams:
         return db_to_linear(self.inr_db)
 
     @property
-    def noise_power(self) -> float:
-        """Thermal noise power implied by the mean SNR at unit-mean fading."""
-        return self.avg_power / self.snr_linear
-
-    @property
-    def interference_power(self) -> float:
-        return self.inr_linear * self.noise_power
-
-    @property
     def mean_sinr_clean(self) -> float:
         """Mean full-power SINR of burst-free symbols (equals snr_linear)."""
         return self.snr_linear
@@ -109,15 +99,3 @@ def sample_fading(rng: np.random.Generator, n: int) -> np.ndarray:
     ziggurat sampler so the stream is reproducible across platforms.
     """
     return -np.log1p(-rng.random(n))
-
-
-def sinr_of(params: ChannelParams, h, impulse, tx_power):
-    """Post-fading SINR at transmit power ``tx_power``.
-
-    Burst-hit symbols see exactly the burst-free SINR divided by (1 + INR).
-    Accepts scalars or equal-shaped arrays for ``h``, ``impulse`` and
-    ``tx_power``.
-    """
-    clean = np.asarray(h, dtype=float) * tx_power / params.noise_power
-    out = np.where(impulse, clean / (1.0 + params.inr_linear), clean)
-    return out.item() if out.ndim == 0 else out

@@ -2,9 +2,12 @@
 
 Each symbol carries three random ingredients: a fading power shared over
 its coherence block, the burst state of the block's governing (first)
-symbol, and the symbol's own burst state. The policy adapts power and rate
-on the governing information; the symbol's own state decides the BER it
-actually experiences.
+symbol, and the symbol's own burst state. A scheme adapts power and rate
+on the SINR of the burst state it assumes, H times that state's mean SINR:
+the governing state under conventional, which follows the fed-back state,
+and one fixed state for every symbol under aggressive (clean) and
+conservative (hit), for which the governing states are not read. The
+symbol's own state decides the BER it actually experiences.
 
 Two sampling modes:
 
@@ -21,12 +24,12 @@ Outage accounting: a transmitted symbol is in outage when its realised BER
 exceeds the target (plus a 1e-12 guard for the exact-equality case at zero
 INR). With water-filling, the realised BER of a transmitted symbol
 collapses to a per-burst-state constant -- the target itself when the
-governing assumption matches or over-protects, and the clean-priced hit
-BER of :func:`impulse_ber_under_conventional` when a burst sneaks past a
-clean assumption -- so :func:`impulsewf.adaptation.bursts_lost` decides
-the mask rather than per-symbol arithmetic. Under the conventional scheme,
-symbols parked below the cutoff while their block's feedback overstated
-their SINR are counted as outage as well: the scheme broke its per-block
+assumed state matches or over-protects, and the clean-priced hit BER of
+:func:`impulse_ber_under_conventional` when a burst hits a symbol assumed
+clean -- so :func:`impulsewf.adaptation.bursts_lost` decides the mask
+rather than per-symbol arithmetic. Under the conventional scheme, symbols
+parked below the cutoff while their block's feedback overstated their
+SINR are counted as outage as well: the scheme broke its per-block
 guarantee for them, and the p(1-p) outage law counts exactly these
 mismatch events. Zero-rate symbols never experience an error event under
 the other two schemes.
@@ -58,10 +61,10 @@ from enum import Enum
 import numpy as np
 from scipy.special import exp1
 
-from .adaptation import (LOG2_E, ErrorModel, Policy, Scheme, bursts_lost,
-                         outage_prob_conventional, policy_rate,
+from .adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
+                         assumption_weights, bursts_lost, policy_rate,
                          wf_power_fraction, wf_rate_bits)
-from .channel import ChannelParams, sample_fading, sinr_of
+from .channel import ChannelParams, sample_fading
 
 __all__ = [
     "SimMode",
@@ -111,8 +114,8 @@ class SimConfig:
 class SimResult:
     """Empirical outcome of a run.
 
-    ``counts`` tallies symbols by (governing burst state, actual burst
-    state), where the governing state is the one the scheme adapted on:
+    ``counts`` tallies symbols by (assumed burst state, actual burst
+    state), where the assumed state is the one the scheme adapted on:
     the sampled feedback state for conventional, always-clean for
     aggressive, always-hit for conservative. ``rate_sq_mean`` carries the
     second moment of the per-symbol credited rate for the standard error.
@@ -148,17 +151,20 @@ def _stream(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed).advance(offset))
 
 
-def _draw_windows(params: ChannelParams, cfg: SimConfig
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _draw_windows(params: ChannelParams, cfg: SimConfig, governing: bool = True
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
     """Yield (fading power, governing state, actual state) per symbol, one
-    window at a time, in stream order (layout in the module docstring)."""
+    window at a time, in stream order (layout in the module docstring).
+    With ``governing`` false the governing states are left undrawn and
+    yielded as None; the other segments are read as before."""
     p = params.impulse_prob
     if cfg.mode is SimMode.PER_SYMBOL:
         n = cfg.n_symbols
-        fading, governing, actual = (_stream(cfg.seed, k * n) for k in range(3))
+        fading, states, actual = (_stream(cfg.seed, k * n) for k in range(3))
         for start in range(0, n, WINDOW):
             size = min(WINDOW, n - start)
-            yield (sample_fading(fading, size), governing.random(size) < p,
+            yield (sample_fading(fading, size),
+                   states.random(size) < p if governing else None,
                    actual.random(size) < p)
         return
     block_len = cfg.block_len
@@ -169,41 +175,42 @@ def _draw_windows(params: ChannelParams, cfg: SimConfig
         size = min(step, n_blocks - start)
         mask = bursts.random((size, block_len)) < p
         yield (np.repeat(sample_fading(fading, size), block_len),
-               np.repeat(mask[:, 0], block_len), mask.reshape(-1))
+               np.repeat(mask[:, 0], block_len) if governing else None,
+               mask.reshape(-1))
 
 
-def _window_sums(policy: Policy, params: ChannelParams, lost: bool,
-                 h: np.ndarray, governing: np.ndarray, actual: np.ndarray
-                 ) -> tuple[float, float, float, int, np.ndarray]:
+def _window_sums(policy: Policy, lost: bool, basis: np.ndarray, assumed,
+                 actual: np.ndarray
+                 ) -> tuple[float, float, float, int, tuple[int, int, int, int]]:
     """Credited rate, its square, power and outage summed over one window,
-    and the (governing, actual) tallies, flattened row-major."""
-    scheme = policy.scheme
-    if scheme is Scheme.CONVENTIONAL:
-        basis = sinr_of(params, h, governing, params.avg_power)
-    else:
-        basis = h
+    and the (assumed, actual) tallies, flattened row-major.
+
+    ``basis`` is the full-power SINR each symbol is adapted on and
+    ``assumed`` the burst state it was priced with: a bool array of
+    governing states under conventional, one numpy bool otherwise.
+    """
     power = wf_power_fraction(basis, policy)
     transmitted = power > 0.0
     rate = np.where(transmitted, wf_rate_bits(basis, policy), 0.0)
 
     # Realised BER of a transmitted symbol is the target unless a burst
-    # defeats a clean governing assumption (see bursts_lost).
-    if not lost:
-        outage = np.zeros(h.size, dtype=bool)
-    elif scheme is Scheme.CONVENTIONAL:
-        outage = ~governing & actual
+    # hits a symbol adapted as clean (see bursts_lost).
+    if lost:
+        outage = actual & ~assumed
+        if policy.scheme is not Scheme.CONVENTIONAL:
+            outage &= transmitted
+        credited = np.where(outage, 0.0, rate)
+        outages = np.count_nonzero(outage)
     else:
-        outage = transmitted & actual
+        credited, outages = rate, 0
 
-    credited = np.where(transmitted & ~outage, rate, 0.0)
-
-    if scheme is Scheme.CONVENTIONAL:
-        governing_row = governing
-    else:
-        governing_row = np.full(h.size, scheme is Scheme.CONSERVATIVE)
-    tallies = np.bincount(2 * governing_row.astype(np.int64) + actual, minlength=4)
+    hits = np.count_nonzero(actual)
+    assumed_hits = np.count_nonzero(np.broadcast_to(assumed, basis.shape))
+    both = np.count_nonzero(actual & assumed)
+    tallies = (basis.size - assumed_hits - hits + both, hits - both,
+               assumed_hits - both, both)
     return (float(credited.sum()), float((credited ** 2).sum()),
-            float(power.sum()), int(outage.sum()), tallies)
+            float(power.sum()), outages, tallies)
 
 
 def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
@@ -212,28 +219,33 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
 
     ``policy`` must have been solved for this link (see
     :func:`impulsewf.adaptation.policy_rate`). Per symbol: adapt power and
-    rate on the governing information, score the symbol against its
-    actual burst state. Conventional adapts on the SINR its governing
-    state implies; aggressive and conservative adapt on the fading power
-    H itself. ``avg_se`` averages the rate of transmitted,
+    rate on the SINR of the assumed burst state, score the symbol against
+    its actual burst state. ``avg_se`` averages the rate of transmitted,
     non-outage symbols over all symbols; ``mean_power_frac`` averages the
     spent power fraction over all symbols including the zero-power ones
     below the cutoff. The run is evaluated window by window, so memory
     stays bounded whatever ``cfg.n_symbols`` is.
     """
-    lost = policy.scheme is not Scheme.CONSERVATIVE and bursts_lost(params, em)
+    feedback = policy.scheme is Scheme.CONVENTIONAL
+    _, w_hit = assumption_weights(policy.scheme, params.impulse_prob)
+    fixed_state = np.bool_(w_hit == 1.0)
+    lost = bursts_lost(params, em)
     n = outages = 0
     rate_sum = rate_sq_sum = power_sum = 0.0
-    tallies = np.zeros(4, dtype=np.int64)
-    for h, governing, actual in _draw_windows(params, cfg):
+    tallies = [0, 0, 0, 0]
+    for h, governing, actual in _draw_windows(params, cfg, feedback):
+        assumed = governing if feedback else fixed_state
+        # The window's fading array is its own: scale it in place into the
+        # SINR of the assumed state, H times that state's mean.
+        h *= np.where(assumed, params.mean_sinr_impulse, params.mean_sinr_clean)
         rate, rate_sq, power, outage, counts = _window_sums(
-            policy, params, lost, h, governing, actual)
+            policy, lost, h, assumed, actual)
         n += h.size
         rate_sum += rate
         rate_sq_sum += rate_sq
         power_sum += power
         outages += outage
-        tallies += counts
+        tallies = [a + b for a, b in zip(tallies, counts)]
 
     return SimResult(
         scheme=policy.scheme.value,
@@ -244,8 +256,7 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
         outage_frac=outages / n,
         mean_power_frac=power_sum / n,
         rate_sq_mean=rate_sq_sum / n,
-        counts=((int(tallies[0]), int(tallies[1])),
-                (int(tallies[2]), int(tallies[3]))),
+        counts=((tallies[0], tallies[1]), (tallies[2], tallies[3])),
     )
 
 
@@ -254,22 +265,26 @@ def policy_outage(policy: Policy, params: ChannelParams, em: ErrorModel,
                   block_len: int = 4) -> float:
     """Outage fraction the sampling law predicts for a solved policy.
 
-    Conventional: the governing/actual mismatch probability p(1-p), scaled
-    by (block_len - 1)/block_len in block mode where the first symbol of a
-    block can never mismatch. Aggressive: bursts landing on transmitted
-    symbols, p * P(H > cutoff). Conservative: zero. All zero when a burst
+    A symbol is lost when the scheme adapted it as clean and a burst hit
+    it, probability p * w_clean (see
+    :func:`impulsewf.adaptation.assumption_weights`). Conventional counts
+    every such mismatch, p(1-p), scaled by (block_len - 1)/block_len in
+    block mode where the first symbol of a block cannot mismatch its own
+    feedback. The fixed-assumption schemes lose only the symbols they
+    transmit, the share exp(-t / mean_sinr_clean) above the cutoff: p times
+    that for aggressive, zero for conservative. All zero when a burst
     cannot push the BER past the target (zero INR; see
     :func:`impulsewf.adaptation.bursts_lost`).
     """
     if not bursts_lost(params, em):
         return 0.0
     p = params.impulse_prob
+    w_clean, _ = assumption_weights(policy.scheme, p)
     if policy.scheme is Scheme.CONVENTIONAL:
-        scale = (block_len - 1) / block_len if mode is SimMode.BLOCK else 1.0
-        return outage_prob_conventional(p) * scale
-    if policy.scheme is Scheme.AGGRESSIVE:
-        return p * math.exp(-policy.threshold)
-    return 0.0
+        counted = (block_len - 1) / block_len if mode is SimMode.BLOCK else 1.0
+    else:
+        counted = math.exp(-policy.threshold / params.mean_sinr_clean)
+    return p * w_clean * counted
 
 
 def policy_sim_rate(policy: Policy, params: ChannelParams, em: ErrorModel,
@@ -279,13 +294,15 @@ def policy_sim_rate(policy: Policy, params: ChannelParams, em: ErrorModel,
     Per-symbol mode samples :func:`impulsewf.adaptation.policy_rate`. In
     block mode the first symbol of a conventional block cannot mismatch its
     feedback, which adds p(1-p)/block_len * log2(e) * E1(t/mean_clean) when
-    bursts are lost; the law of H, which the other schemes adapt on, stays.
+    bursts are lost; the fixed-assumption schemes do not read the feedback,
+    so their rate stays.
     """
     rate = policy_rate(policy, params, em)
     if (mode is SimMode.BLOCK and policy.scheme is Scheme.CONVENTIONAL
             and bursts_lost(params, em)):
-        first_symbol_gain = outage_prob_conventional(params.impulse_prob) / block_len
+        p = params.impulse_prob
+        w_clean, _ = assumption_weights(policy.scheme, p)
+        first_symbol_gain = p * w_clean / block_len
         rate += first_symbol_gain * LOG2_E * float(
             exp1(policy.threshold / params.mean_sinr_clean))
     return rate
-

@@ -1,7 +1,9 @@
-"""Test-only oracles: adaptive quadrature and the exponential-mixture density.
+"""Test-only oracles: adaptive quadrature, the exponential-mixture density
+and the physical SINR of a symbol.
 
-They give the closed forms an independent route to compare against, and
-live here so that importing the package never loads ``scipy.integrate``.
+They give the closed forms and the simulator an independent route to
+compare against, and live here so that importing the package never loads
+``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -43,4 +45,18 @@ def density_at(weights, means, gamma):
         if weight > 0.0:
             out = out + (weight / mean) * np.exp(-g / mean)
     out = np.where(g < 0.0, 0.0, out)
+    return out.item() if out.ndim == 0 else out
+
+
+def sinr_of(params, h, impulse, tx_power):
+    """Post-fading SINR at transmit power fraction ``tx_power``.
+
+    The physical reference: received power h * tx_power over the thermal
+    noise 1/SNR, and burst-hit symbols see exactly that divided by
+    (1 + INR). Accepts scalars or equal-shaped arrays for ``h``,
+    ``impulse`` and ``tx_power``.
+    """
+    noise_power = 1.0 / params.snr_linear
+    clean = np.asarray(h, dtype=float) * tx_power / noise_power
+    out = np.where(impulse, clean / (1.0 + params.inr_linear), clean)
     return out.item() if out.ndim == 0 else out

@@ -177,7 +177,7 @@ def test_criterion_7_property_suite():
         for scheme in Scheme:
             params = params_for(config, 0.5)
             policy = make_policy(scheme, params, EM)
-            weights, means, _ = cutoff_rows([(scheme, params)], EM)
+            weights, means = cutoff_rows([(scheme, params)])
             # Threshold residual and the analytic power budget.
             residual = budget_rows([policy.threshold], weights, means)[0] \
                 - policy.k_used

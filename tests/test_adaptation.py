@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf.adaptation import (LOG2_E, ErrorModel, NoCrossoverError,
-                                  Policy, Scheme, bursts_lost,
-                                  crossover_from_rates, crossover_pth,
-                                  cutoff_rows, impulse_ber_under_conventional,
-                                  make_policies, make_policy,
-                                  outage_prob_conventional, policy_rate, qam_ber,
-                                  rate_aggressive, rate_conservative,
+                                  Policy, Scheme, assumption_weights,
+                                  bursts_lost, crossover_from_rates,
+                                  crossover_pth, cutoff_rows,
+                                  impulse_ber_under_conventional,
+                                  make_policies, make_policy, policy_rate,
+                                  qam_ber, rate_aggressive, rate_conservative,
                                   rate_conventional, rate_for,
                                   wf_power_fraction, wf_rate_bits)
 from impulsewf.channel import ChannelParams
 from impulsewf.numerics import budget_rows, solve_cutoffs
+from impulsewf.simulate import policy_outage
 from oracles import density_at, integrate_semi_infinite
 
 EM = ErrorModel(target_ber=1e-3)
@@ -34,13 +35,12 @@ def params_for(config, p):
 
 def spend_of(policy, params):
     """Budget spend B(t) of ``policy``'s cutoff on the row it was priced on."""
-    weights, means, _ = cutoff_rows([(policy.scheme, params)], EM)
+    weights, means = cutoff_rows([(policy.scheme, params)])
     return float(budget_rows([policy.threshold], weights, means)[0])
 
 
-# The row of a cutoff priced on the unit-mean fading power H.
-UNIT_WEIGHTS, UNIT_MEANS, _ = cutoff_rows(
-    [(Scheme.AGGRESSIVE, ChannelParams(0.0, 0.0, 0.0))], EM)
+# One unit-mean exponential component.
+UNIT_WEIGHTS, UNIT_MEANS = [[1.0]], [[1.0]]
 
 
 class TestErrorModel:
@@ -58,13 +58,30 @@ class TestErrorModel:
             ErrorModel(target_ber=1e-3, ber_coeff=0.0)
 
     def test_constants_relations(self):
+        # Every scheme prices its cutoff at k_sinr on the same two SINR
+        # means; only the weights on them differ.
         params = params_for(SET_B, 0.4)
-        _, _, k = cutoff_rows([(scheme, params) for scheme in Scheme], EM)
-        k_sinr, k_clean, k_impulse = k
-        assert k_sinr == EM.k_sinr
-        assert k_clean == EM.k_sinr * params.snr_linear
-        assert k_impulse == k_clean / (1.0 + params.inr_linear)
-        assert k_sinr > 0 and k_clean > 0 and k_impulse > 0
+        requests = [(scheme, params) for scheme in Scheme]
+        weights, means = cutoff_rows(requests)
+        assert weights.tolist() == [[0.6, 0.4], [1.0, 0.0], [0.0, 1.0]]
+        assert means.tolist() == \
+            [[params.mean_sinr_clean, params.mean_sinr_impulse]] * 3
+        assert [p.k_used for p in make_policies(requests, EM)] == [EM.k_sinr] * 3
+        assert EM.k_sinr > 0
+
+
+class TestAssumptionWeights:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_belief_laws(self, p):
+        assert assumption_weights(Scheme.CONVENTIONAL, p) == (1.0 - p, p)
+        assert assumption_weights(Scheme.AGGRESSIVE, p) == (1.0, 0.0)
+        assert assumption_weights(Scheme.CONSERVATIVE, p) == (0.0, 1.0)
+
+    def test_conventional_endpoints_are_the_simple_beliefs(self):
+        assert assumption_weights(Scheme.CONVENTIONAL, 0.0) == \
+            assumption_weights(Scheme.AGGRESSIVE, 0.0)
+        assert assumption_weights(Scheme.CONVENTIONAL, 1.0) == \
+            assumption_weights(Scheme.CONSERVATIVE, 1.0)
 
 
 class TestQamBer:
@@ -124,15 +141,28 @@ class TestCutoffRows:
         assert root == pytest.approx(1.0, abs=1e-9)
 
     def test_known_clean_threshold(self):
-        # Aggressive at 0 dB SNR prices H at k = k_sinr = 0.28311.
+        # Aggressive at 0 dB SNR prices the clean SINR, here H itself, at
+        # k = k_sinr = 0.28311.
         policy = make_policy(Scheme.AGGRESSIVE, params_for(SET_A, 0.5), EM)
         assert policy.threshold == pytest.approx(0.758, abs=5e-4)
+
+    @pytest.mark.parametrize("scheme", [Scheme.AGGRESSIVE, Scheme.CONSERVATIVE])
+    def test_simple_cutoffs_scale_with_their_mean(self, scheme):
+        # On the SINR scale a one-state cutoff is its mean times the cutoff
+        # of the unit-mean exponential at k_sinr times that mean.
+        params = params_for(SET_B, 0.5)
+        mean = (params.mean_sinr_clean if scheme is Scheme.AGGRESSIVE
+                else params.mean_sinr_impulse)
+        unit = solve_cutoffs(UNIT_WEIGHTS, UNIT_MEANS, [EM.k_sinr * mean])[0]
+        threshold = make_policy(scheme, params, EM).threshold
+        assert threshold == pytest.approx(mean * unit, rel=1e-12)
 
     def test_degenerate_mixture_matches_clean(self):
         # At p = 0 the burst-hit column carries zero weight, and dropping it
         # leaves the cutoff exactly as it was.
-        weights, means, k = cutoff_rows(
-            [(Scheme.CONVENTIONAL, params_for(SET_A, 0.0))], EM)
+        weights, means = cutoff_rows(
+            [(Scheme.CONVENTIONAL, params_for(SET_A, 0.0))])
+        k = [EM.k_sinr]
         assert weights[0, 1] == 0.0
         assert solve_cutoffs(weights, means, k) == \
             solve_cutoffs(weights[:, :1], means[:, :1], k)
@@ -157,7 +187,7 @@ class TestCutoffRows:
         # Quadrature restatement of the budget equation the solver enforced.
         params = params_for(config, p)
         policy = make_policy(scheme, params, EM)
-        weights, means, _ = cutoff_rows([(scheme, params)], EM)
+        weights, means = cutoff_rows([(scheme, params)])
         row = (weights[0], means[0])
         spent = integrate_semi_infinite(
             lambda g: wf_power_fraction(g, policy) * density_at(*row, g),
@@ -227,13 +257,19 @@ class TestClosedFormRates:
 
 class TestOutageAndHitBer:
     def test_outage_prob_values(self):
-        assert outage_prob_conventional(0.0) == 0.0
-        assert outage_prob_conventional(0.5) == 0.25
-        assert outage_prob_conventional(1.0) == 0.0
+        # The p(1-p) mismatch law, p * w_clean under conventional.
+        def outage(p):
+            params = params_for(SET_A, p)
+            policy = make_policy(Scheme.CONVENTIONAL, params, EM)
+            return policy_outage(policy, params, EM)
+        assert outage(0.0) == 0.0
+        assert outage(0.5) == 0.25
+        assert outage(1.0) == 0.0
 
     def test_outage_prob_domain(self):
+        # The burst probability is checked once, where the link is built.
         with pytest.raises(ValueError):
-            outage_prob_conventional(1.5)
+            params_for(SET_A, 1.5)
 
     def test_hit_ber_zero_inr_meets_target_exactly(self):
         assert impulse_ber_under_conventional(EM, 0.0) == EM.target_ber
@@ -295,50 +331,76 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 snr_dbs = st.floats(min_value=-100.0, max_value=120.0)
 inr_dbs = st.floats(min_value=-30.0, max_value=100.0)
 probs = st.floats(min_value=0.0, max_value=1.0)
+# BER targets log-uniform over (1e-12, 0.2), below the curve coefficient.
+targets = st.floats(min_value=-12.0, max_value=math.log10(0.2),
+                    exclude_min=True, exclude_max=True).map(
+    lambda e: 10.0 ** e).filter(lambda pb: 1e-12 < pb < 0.2)
+# Steps between two links, in dB: wide enough that the rate or crossover
+# they move is far above float noise.
+db_steps = st.floats(min_value=0.01, max_value=20.0)
 
 
 class TestCutoffProperties:
     """Over the whole SNR range [-100, 120] dB and INR range [-30, 100] dB."""
 
     @PROPERTY_SETTINGS
-    @given(snr_dbs, inr_dbs, probs)
-    def test_budget_residual(self, snr_db, inr_db, p):
+    @given(snr_dbs, inr_dbs, probs, targets)
+    def test_budget_residual(self, snr_db, inr_db, p, pb):
         params = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
+        em = ErrorModel(target_ber=pb)
         for scheme in Scheme:
-            policy = make_policy(scheme, params, EM)
+            policy = make_policy(scheme, params, em)
             spend = spend_of(policy, params)
             assert abs(spend / policy.k_used - 1.0) <= 1e-9
 
     @PROPERTY_SETTINGS
-    @given(snr_dbs, inr_dbs)
-    def test_conventional_endpoints_match_simple_schemes(self, snr_db, inr_db):
+    @given(snr_dbs, inr_dbs, targets)
+    def test_conventional_endpoints_match_simple_schemes(self, snr_db, inr_db,
+                                                         pb):
+        # Conventional at p = 0 holds aggressive's belief and at p = 1
+        # conservative's, so both solve the very same row.
         at_0 = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=0.0)
         at_1 = replace(at_0, impulse_prob=1.0)
-        conv_0 = make_policy(Scheme.CONVENTIONAL, at_0, EM)
-        conv_1 = make_policy(Scheme.CONVENTIONAL, at_1, EM)
-        aggressive = make_policy(Scheme.AGGRESSIVE, at_0, EM)
-        conservative = make_policy(Scheme.CONSERVATIVE, at_1, EM)
-        # The same cutoff, once on the SINR and once on the fading power.
-        assert conv_0.threshold / at_0.mean_sinr_clean == \
-            pytest.approx(aggressive.threshold, rel=1e-12)
-        assert conv_1.threshold / at_1.mean_sinr_impulse == \
-            pytest.approx(conservative.threshold, rel=1e-12)
-        assert policy_rate(conv_0, at_0, EM) == \
-            pytest.approx(policy_rate(aggressive, at_0, EM), rel=1e-12)
-        assert policy_rate(conv_1, at_1, EM) == \
-            pytest.approx(policy_rate(conservative, at_1, EM), rel=1e-12)
+        em = ErrorModel(target_ber=pb)
+        conv_0 = make_policy(Scheme.CONVENTIONAL, at_0, em)
+        conv_1 = make_policy(Scheme.CONVENTIONAL, at_1, em)
+        aggressive = make_policy(Scheme.AGGRESSIVE, at_0, em)
+        conservative = make_policy(Scheme.CONSERVATIVE, at_1, em)
+        assert conv_0.threshold == aggressive.threshold
+        assert conv_1.threshold == conservative.threshold
+        assert policy_rate(conv_0, at_0, em) == policy_rate(aggressive, at_0, em)
+        assert policy_rate(conv_1, at_1, em) == \
+            policy_rate(conservative, at_1, em)
 
     @PROPERTY_SETTINGS
-    @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21))
-    def test_grid_solve_matches_point_solves(self, snr_db, inr_db, grid):
+    @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21), targets)
+    def test_grid_solve_matches_point_solves(self, snr_db, inr_db, grid, pb):
         links = [ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
                  for p in grid]
+        em = ErrorModel(target_ber=pb)
         requests = [(scheme, link) for link in links for scheme in Scheme]
-        together = make_policies(requests, EM)
+        together = make_policies(requests, em)
         for (scheme, link), policy in zip(requests, together):
-            alone = make_policy(scheme, link, EM)
+            alone = make_policy(scheme, link, em)
             assert policy.threshold == pytest.approx(alone.threshold, rel=1e-13)
             assert (policy.scheme, policy.k_used) == (alone.scheme, alone.k_used)
+
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, db_steps, inr_dbs, probs, targets)
+    def test_rates_nondecreasing_in_snr(self, snr_db, step, inr_db, p, pb):
+        em = ErrorModel(target_ber=pb)
+        low = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
+        high = replace(low, snr_db=min(snr_db + step, 120.0))
+        for scheme in Scheme:
+            assert rate_for(scheme, low, em) <= rate_for(scheme, high, em)
+
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, inr_dbs, db_steps, targets)
+    def test_crossover_nondecreasing_in_inr(self, snr_db, inr_db, step, pb):
+        em = ErrorModel(target_ber=pb)
+        low = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=0.0)
+        high = replace(low, inr_db=min(inr_db + step, 100.0))
+        assert crossover_pth(low, em) <= crossover_pth(high, em)
 
 
 class TestPolicyRates:
@@ -386,7 +448,8 @@ class TestZeroInterference:
     def test_every_scheme_earns_the_burst_free_rate(self, scheme, p):
         params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=p)
         policy = make_policy(Scheme.AGGRESSIVE, params, EM)
-        burst_free = LOG2_E * exp_integral_e1(policy.threshold)
+        burst_free = LOG2_E * exp_integral_e1(policy.threshold
+                                              / params.mean_sinr_clean)
         assert rate_for(scheme, params, EM) == pytest.approx(burst_free, rel=1e-12)
 
     def test_conventional_weights_without_losses(self):

@@ -2,15 +2,15 @@
 fading sampling."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from impulsewf.adaptation import ErrorModel, Scheme, cutoff_rows
-from impulsewf.channel import (ChannelParams, db_to_linear, sample_fading,
-                               sinr_of)
-from oracles import density_at, integrate_semi_infinite
+from impulsewf.channel import ChannelParams, db_to_linear, sample_fading
+from oracles import density_at, integrate_semi_infinite, sinr_of
 
 EM = ErrorModel(target_ber=1e-3)
 
@@ -25,10 +25,11 @@ class TestChannelParams:
         assert db_to_linear(10.0) == pytest.approx(10.0)
         assert db_to_linear(20.0) == pytest.approx(100.0)
 
-    def test_derived_powers_at_zero_db(self):
+    def test_two_state_means_at_zero_db(self):
+        # Unit noise and unit burst power: a hit halves the mean SINR.
         params = params_a()
-        assert params.noise_power == pytest.approx(1.0)
-        assert params.interference_power == pytest.approx(1.0)
+        assert params.mean_sinr_clean == 1.0
+        assert params.mean_sinr_impulse == 0.5
 
     def test_impulse_mean_relation(self):
         for snr_db in (-5.0, 0.0, 10.0):
@@ -42,9 +43,10 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(snr_db=0.0, inr_db=0.0, impulse_prob=bad_p)
 
-    def test_rejects_bad_power(self):
-        with pytest.raises(ValueError):
-            ChannelParams(snr_db=0.0, inr_db=0.0, impulse_prob=0.5, avg_power=0.0)
+    def test_fields_are_the_link_alone(self):
+        # Power is a fraction of the budget, so the budget is no parameter.
+        assert [f.name for f in fields(ChannelParams)] == \
+            ["snr_db", "inr_db", "impulse_prob"]
 
     @pytest.mark.parametrize("field", ["snr_db", "inr_db", "impulse_prob"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -70,7 +72,7 @@ class TestChannelParams:
 
 def density_row(scheme, params):
     """The (weights, means) row the cutoff of ``scheme`` is priced on."""
-    weights, means, _ = cutoff_rows([(scheme, params)], EM)
+    weights, means = cutoff_rows([(scheme, params)])
     return weights[0], means[0]
 
 
@@ -107,14 +109,18 @@ class TestMixtureDensity:
         total = integrate_semi_infinite(lambda g: density_at(*row, g), 0.0)
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_fading_rows_are_unit_exponential(self):
-        # Aggressive and conservative price their cutoffs on H itself.
+    def test_simple_scheme_rows_are_one_state(self):
+        # Aggressive prices its cutoff on the clean SINR alone, conservative
+        # on the burst-hit SINR alone; both on the same two means.
         params = ChannelParams(snr_db=10.0, inr_db=20.0, impulse_prob=0.5)
-        for scheme in (Scheme.AGGRESSIVE, Scheme.CONSERVATIVE):
-            weights, means = density_row(scheme, params)
-            assert weights.tolist() == [1.0, 0.0]
-            assert means.tolist() == [1.0, 1.0]
-            assert density_at(weights, means, 0.0) == 1.0
+        means = [params.mean_sinr_clean, params.mean_sinr_impulse]
+        for scheme, weights, mean in (
+                (Scheme.AGGRESSIVE, [1.0, 0.0], params.mean_sinr_clean),
+                (Scheme.CONSERVATIVE, [0.0, 1.0], params.mean_sinr_impulse)):
+            row = density_row(scheme, params)
+            assert row[0].tolist() == weights
+            assert row[1].tolist() == means
+            assert density_at(*row, 0.0) == 1.0 / mean
 
 
 class TestSinrOf:
@@ -143,7 +149,7 @@ class TestSampling:
         params = ChannelParams(snr_db=10.0, inr_db=20.0, impulse_prob=0.5)
         rng = np.random.Generator(np.random.PCG64(77))
         h = sample_fading(rng, 100_000)
-        samples = sinr_of(params, h, np.zeros(h.size, dtype=bool), params.avg_power)
+        samples = sinr_of(params, h, np.zeros(h.size, dtype=bool), 1.0)
         result = kstest(samples, "expon", args=(0.0, params.mean_sinr_clean))
         assert result.pvalue > 0.01
 

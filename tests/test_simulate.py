@@ -12,10 +12,11 @@ from impulsewf.adaptation import (ErrorModel, Scheme,
                                   impulse_ber_under_conventional, make_policy,
                                   qam_ber, rate_for, wf_power_fraction,
                                   wf_rate_bits)
-from impulsewf.channel import ChannelParams, sinr_of
+from impulsewf.channel import ChannelParams
 from impulsewf.simulate import (SimConfig, SimMode, _draw_windows,
                                 policy_outage, policy_sim_rate,
                                 simulate_policy)
+from oracles import sinr_of
 
 EM = ErrorModel(target_ber=1e-3)
 SET_A = dict(snr_db=0.0, inr_db=0.0)
@@ -40,12 +41,16 @@ def draw(params, cfg):
     return tuple(np.concatenate(arrays) for arrays in zip(*windows))
 
 
-def adaptation_basis(scheme, params, h, governing):
-    """What each scheme adapts on: the SINR its governing state implies for
-    conventional, the fading power H for the other two."""
+# The burst state aggressive and conservative adapt every symbol on.
+FIXED_BELIEF = {Scheme.AGGRESSIVE: False, Scheme.CONSERVATIVE: True}
+
+
+def assumed_states(scheme, governing):
+    """The burst state each symbol is adapted on: the governing state for
+    conventional, the scheme's fixed belief for the other two."""
     if scheme is Scheme.CONVENTIONAL:
-        return sinr_of(params, h, governing, params.avg_power)
-    return h
+        return governing
+    return np.full(governing.shape, FIXED_BELIEF[scheme])
 
 
 class TestAdaptationBasis:
@@ -93,7 +98,7 @@ class TestAgainstTheory:
         assert result.avg_se == 0.0
         # Everything transmitted is lost, so outage is the above-cutoff mass.
         policy = make_policy(Scheme.AGGRESSIVE, params, EM)
-        above = math.exp(-policy.threshold)
+        above = math.exp(-policy.threshold / params.mean_sinr_clean)
         assert abs(result.outage_frac - above) <= three_sigma_binomial(above, 100_000)
 
 
@@ -137,20 +142,23 @@ class TestOutageLaws:
 class TestPerSymbolBerEquivalence:
     """The vectorised accounting equals the literal per-symbol BER rule."""
 
+    # Set A sits at 0 dB SNR, where H and the clean SINR coincide; set B
+    # checks the SINR scale.
+    @pytest.mark.parametrize("config", [SET_A, SET_B], ids=["A", "B"])
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_accounting_matches_qam_ber(self, scheme):
-        params = params_for(SET_A, 0.4)
+    def test_accounting_matches_qam_ber(self, scheme, config):
+        params = params_for(config, 0.4)
         cfg = SimConfig(n_symbols=2000, seed=99)
         h, governing, actual = draw(params, cfg)
         policy = make_policy(scheme, params, EM)
-        basis = adaptation_basis(scheme, params, h, governing)
+        assumed = assumed_states(scheme, governing)
+        basis = sinr_of(params, h, assumed, 1.0)
         power = wf_power_fraction(basis, policy)
         transmitted = power > 0.0
         outage = np.zeros(h.size, dtype=bool)
         for i in np.nonzero(transmitted)[0]:
             m = basis[i] / policy.threshold
-            scaled = sinr_of(params, h[i], bool(actual[i]),
-                             power[i] * params.avg_power)
+            scaled = sinr_of(params, h[i], bool(actual[i]), power[i])
             outage[i] = qam_ber(scaled, m, EM.ber_coeff) > EM.target_ber + 1e-12
         if scheme is Scheme.CONVENTIONAL:
             # Below-cutoff symbols whose block feedback overstated them are
@@ -160,11 +168,21 @@ class TestPerSymbolBerEquivalence:
                 outage |= ~transmitted & ~governing & actual
         rate = np.where(transmitted, wf_rate_bits(basis, policy), 0.0)
         expected_se = rate[transmitted & ~outage].sum() / h.size
+        counts = tuple(tuple(int(np.count_nonzero((assumed == a) & (actual == b)))
+                             for b in (False, True)) for a in (False, True))
 
         result = run(params, scheme, cfg)
+        assert result.counts == counts
         assert result.outage_frac == outage.mean()
         assert result.avg_se == pytest.approx(expected_se, rel=1e-12)
-        assert result.mean_power_frac == power.mean()
+        # The simulator scales H by the assumed state's mean SINR, the
+        # reference divides by the noise power: equal up to rounding,
+        # which is exact at 0 dB.
+        if config is SET_A:
+            assert result.mean_power_frac == power.mean()
+        else:
+            assert result.mean_power_frac == pytest.approx(power.mean(),
+                                                           rel=1e-12)
 
     def test_conventional_follows_governing_state(self):
         # Power follows the SINR the governing state implies, not H.
@@ -240,6 +258,18 @@ class TestWindows:
         whole = run(params, scheme, cfg)
         monkeypatch.setattr(simulate, "WINDOW", window)
         self.assert_same_run(run(params, scheme, cfg), whole)
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_fixed_beliefs_leave_governing_states_unread(self, mode):
+        # Aggressive and conservative never read the governing states; the
+        # fading and actual states come from the same draws regardless.
+        params = params_for(SET_A, 0.4)
+        cfg = SimConfig(n_symbols=1000, seed=23, mode=mode, block_len=4)
+        h, _, actual = draw(params, cfg)
+        windows = list(_draw_windows(params, cfg, governing=False))
+        assert all(governing is None for _, governing, _ in windows)
+        assert np.array_equal(np.concatenate([w[0] for w in windows]), h)
+        assert np.array_equal(np.concatenate([w[2] for w in windows]), actual)
 
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_stream_layout(self, monkeypatch, mode):
