@@ -20,9 +20,10 @@ threshold is on the SINR scale: ``cutoff_rows`` lays out the rows,
 ``make_policies`` solves them in one call of
 :func:`impulsewf.numerics.solve_cutoffs`, and ``policy_rate`` reads the
 same weights to give the average spectral efficiency as log2(e) times a
-weighted sum of E1(t / mean). A sweep solves each cutoff once; the scalar
-``rate_*`` functions wrap the same path for one link. All functions are
-pure and all records immutable.
+weighted sum of E1(t / mean). A sweep solves each cutoff once, and
+:func:`crossover` solves the two cutoffs that fix the paper's crossover
+burst probability in one call. All functions are pure and all records
+immutable.
 """
 
 from __future__ import annotations
@@ -43,24 +44,13 @@ __all__ = [
     "Scheme",
     "ErrorModel",
     "Policy",
-    "NoCrossoverError",
     "assumption_weights",
-    "qam_ber",
-    "wf_power_fraction",
-    "wf_rate_bits",
     "cutoff_rows",
     "make_policies",
     "make_policy",
     "policy_rate",
-    "rate_conventional",
-    "rate_aggressive",
-    "rate_conservative",
-    "rate_for",
-    "impulse_ber_under_conventional",
     "bursts_lost",
-    "crossover_rates",
-    "crossover_pth",
-    "crossover_from_rates",
+    "crossover",
 ]
 
 LOG2_E = math.log2(math.e)
@@ -72,10 +62,6 @@ class Scheme(Enum):
     CONVENTIONAL = "conventional"
     AGGRESSIVE = "aggressive"
     CONSERVATIVE = "conservative"
-
-
-class NoCrossoverError(ValueError):
-    """Aggressive never beats conservative: no crossover in (0, 1)."""
 
 
 @dataclass(frozen=True)
@@ -120,46 +106,6 @@ class Policy:
     def __post_init__(self) -> None:
         if not self.threshold > 0.0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
-
-
-def qam_ber(gamma: float, m: float, ber_coeff: float = 0.2) -> float:
-    """Bit error rate of continuous-rate M-QAM at SINR ``gamma``.
-
-    ``ber_coeff * exp(-1.5 * gamma / (m - 1))`` clamped to [0, 1]; the
-    clamp matters because the curve exceeds one for tiny gamma. A zero-rate
-    symbol (m == 1) carries no bits; by convention the curve value at zero
-    SINR, ``ber_coeff``, is returned for it.
-    """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m == 1.0:
-        return min(ber_coeff, 1.0)
-    return min(ber_coeff * math.exp(-1.5 * gamma / (m - 1.0)), 1.0)
-
-
-def wf_power_fraction(gamma, policy: Policy):
-    """Transmit power, as a fraction of the average budget, at full-power
-    SINR ``gamma``.
-
-    (1/k) * (1/threshold - 1/gamma) above the cutoff, zero at and below it.
-    Scalar or array.
-    """
-    g = np.maximum(np.asarray(gamma, dtype=float), policy.threshold)
-    out = (1.0 / policy.threshold - 1.0 / g) / policy.k_used
-    return out.item() if out.ndim == 0 else out
-
-
-def wf_rate_bits(gamma, policy: Policy):
-    """Bits per symbol at ``gamma``: log2(gamma/threshold) above the cutoff.
-
-    Equals log2 of the constellation size M = 1 + k * gamma * P, P the
-    water-filling power fraction. Scalar or array.
-    """
-    g = np.maximum(np.asarray(gamma, dtype=float), policy.threshold)
-    out = np.log2(g / policy.threshold)
-    return out.item() if out.ndim == 0 else out
 
 
 def assumption_weights(scheme: Scheme, p: float) -> tuple[float, float]:
@@ -237,30 +183,7 @@ def policy_rate(policy: Policy, params: ChannelParams, em: ErrorModel) -> float:
     return float(kept * w_clean * clean_rate + w_hit * hit_rate)
 
 
-def rate_conventional(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of SINR-feedback water-filling."""
-    return rate_for(Scheme.CONVENTIONAL, params, em)
-
-
-def rate_aggressive(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of water-filling that assumes every
-    symbol is burst-free."""
-    return rate_for(Scheme.AGGRESSIVE, params, em)
-
-
-def rate_conservative(params: ChannelParams, em: ErrorModel) -> float:
-    """Average spectral efficiency of water-filling that assumes every
-    symbol is hit."""
-    return rate_for(Scheme.CONSERVATIVE, params, em)
-
-
-def rate_for(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> float:
-    """Closed-form average spectral efficiency of ``scheme`` on this link:
-    :func:`policy_rate` at the cutoff solved for it."""
-    return policy_rate(make_policy(scheme, params, em), params, em)
-
-
-def impulse_ber_under_conventional(em: ErrorModel, inr_linear: float) -> float:
+def _impulse_ber_under_conventional(em: ErrorModel, inr_linear: float) -> float:
     """BER of a burst-hit symbol whose power and rate assumed a clean SINR.
 
     The water-filling terms cancel, leaving
@@ -284,33 +207,25 @@ def bursts_lost(params: ChannelParams, em: ErrorModel) -> bool:
     closed-form rates, the outage law and the simulator all ask this one
     question, so they agree on which symbols earn nothing.
     """
-    hit_ber = impulse_ber_under_conventional(em, params.inr_linear)
+    hit_ber = _impulse_ber_under_conventional(em, params.inr_linear)
     return hit_ber > em.target_ber + OUTAGE_GUARD
 
 
-def crossover_rates(params: ChannelParams, em: ErrorModel) -> tuple[float, float]:
-    """Aggressive rate at p = 0 and conservative rate on this link, the two
-    rates that fix the crossover, from one solve call."""
+def crossover(params: ChannelParams, em: ErrorModel
+              ) -> tuple[float, float, float]:
+    """(aggressive_at_p0, conservative, p_th) on this link, from one solve
+    call: the aggressive rate at p = 0, the conservative rate, and the
+    burst probability where the two rates intersect.
+
+    Aggressive falls linearly from its p = 0 rate while conservative is
+    flat, so the crossing is 1 - conservative / aggressive_at_p0. Burst-hit
+    symbols never have the larger mean SINR, so conservative is at most
+    aggressive_at_p0; below about -150 dB INR the cutoff solves can still
+    put it a few ulps above, and the clamp at 0 absorbs that rounding.
+    """
     at_p0 = replace(params, impulse_prob=0.0)
     aggressive, conservative = make_policies(
         [(Scheme.AGGRESSIVE, at_p0), (Scheme.CONSERVATIVE, at_p0)], em)
-    return (policy_rate(aggressive, at_p0, em),
-            policy_rate(conservative, at_p0, em))
-
-
-def crossover_pth(params: ChannelParams, em: ErrorModel) -> float:
-    """Burst probability where aggressive and conservative rates intersect.
-
-    Aggressive falls linearly from its p = 0 rate while conservative is
-    flat, so the crossing is 1 - rate_conservative / rate_aggressive(0).
-    """
-    return crossover_from_rates(*crossover_rates(params, em))
-
-
-def crossover_from_rates(aggressive_at_p0: float, conservative: float) -> float:
-    """Crossover 1 - conservative / aggressive_at_p0 of two solved rates."""
-    if conservative > aggressive_at_p0:
-        raise NoCrossoverError(
-            f"conservative rate {conservative:.6g} is never below the "
-            f"aggressive p=0 rate {aggressive_at_p0:.6g}")
-    return 1.0 - conservative / aggressive_at_p0
+    rate_n0 = policy_rate(aggressive, at_p0, em)
+    rate_i = policy_rate(conservative, at_p0, em)
+    return rate_n0, rate_i, max(0.0, 1.0 - rate_i / rate_n0)

@@ -28,8 +28,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .adaptation import (ErrorModel, NoCrossoverError, Policy, Scheme,
-                         crossover_from_rates, crossover_rates, make_policies,
+from .adaptation import (ErrorModel, Policy, Scheme, crossover, make_policies,
                          policy_rate)
 from .channel import ChannelParams
 from .numerics import ConvergenceError
@@ -39,9 +38,7 @@ from .simulate import (SimConfig, SimMode, policy_outage, policy_sim_rate,
 __all__ = [
     "ConfigError",
     "SweepSpec",
-    "CsvRow",
     "rows_to_csv",
-    "parse_csv",
     "cmd_theory",
     "cmd_simulate",
     "cmd_crossover",
@@ -99,58 +96,19 @@ class SweepSpec:
                          mode=self.mode, block_len=self.block_len)
 
 
-@dataclass(frozen=True)
-class CsvRow:
-    """One sweep point. Simulation columns stay empty for theory-only runs."""
-
-    p: float
-    scheme: str
-    rate_theory: float
-    rate_sim: float | None = None
-    outage_theory: float = 0.0
-    outage_sim: float | None = None
-    mean_power_sim: float | None = None
-    seed: int | None = None
-
-
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def _row_line(row: CsvRow) -> str:
-    return ",".join([
-        _fmt(row.p),
-        row.scheme,
-        _fmt(row.rate_theory),
-        _fmt(row.rate_sim),
-        _fmt(row.outage_theory),
-        _fmt(row.outage_sim),
-        _fmt(row.mean_power_sim),
-        "" if row.seed is None else str(row.seed),
-    ])
-
-
-def rows_to_csv(rows: list[CsvRow]) -> str:
-    return "\n".join([CSV_HEADER] + [_row_line(r) for r in rows]) + "\n"
-
-
-def parse_csv(text: str) -> list[CsvRow]:
-    """Parse a CSV stream emitted by this tool back into rows."""
-    lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognised CSV header")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 8:
-            raise ValueError(f"expected 8 cells, got {len(cells)}: {line!r}")
-        opt = lambda s: None if s == "" else float(s)
-        rows.append(CsvRow(
-            p=float(cells[0]), scheme=cells[1], rate_theory=float(cells[2]),
-            rate_sim=opt(cells[3]), outage_theory=float(cells[4]),
-            outage_sim=opt(cells[5]), mean_power_sim=opt(cells[6]),
-            seed=None if cells[7] == "" else int(cells[7])))
-    return rows
+def rows_to_csv(rows: list[tuple]) -> str:
+    """CSV text of 8-cell rows in ``CSV_HEADER`` order: the scheme name and
+    the seed as they are, numbers to 12 significant digits, None as an
+    empty cell. Simulation cells are None in theory-only rows."""
+    lines = [CSV_HEADER]
+    for p, scheme, *values, seed in rows:
+        lines.append(",".join([_fmt(p), scheme, *map(_fmt, values),
+                               "" if seed is None else str(seed)]))
+    return "\n".join(lines) + "\n"
 
 
 def _sweep(spec: SweepSpec,
@@ -176,9 +134,8 @@ def _sweep(spec: SweepSpec,
 def cmd_theory(spec: SweepSpec) -> str:
     """Closed-form sweep: one row per (p, scheme)."""
     em = spec.error_model()
-    rows = [CsvRow(p=p, scheme=policy.scheme.value,
-                   rate_theory=policy_rate(policy, params, em),
-                   outage_theory=policy_outage(policy, params, em))
+    rows = [(p, policy.scheme.value, policy_rate(policy, params, em), None,
+             policy_outage(policy, params, em), None, None, None)
             for p, params, policy in _sweep(spec, em)]
     return rows_to_csv(rows)
 
@@ -190,33 +147,21 @@ def cmd_simulate(spec: SweepSpec) -> str:
     rows = []
     for p, params, policy in _sweep(spec, em):
         result = simulate_policy(policy, params, em, cfg)
-        rows.append(CsvRow(
-            p=p, scheme=policy.scheme.value,
-            rate_theory=policy_rate(policy, params, em),
-            rate_sim=result.avg_se,
-            outage_theory=policy_outage(policy, params, em,
-                                        cfg.mode, cfg.block_len),
-            outage_sim=result.outage_frac,
-            mean_power_sim=result.mean_power_frac,
-            seed=cfg.seed))
+        rows.append((
+            p, policy.scheme.value, policy_rate(policy, params, em),
+            result.avg_se,
+            policy_outage(policy, params, em, cfg.mode, cfg.block_len),
+            result.outage_frac, result.mean_power_frac, cfg.seed))
     return rows_to_csv(rows)
 
 
 def cmd_crossover(spec: SweepSpec) -> str:
     """Report where the aggressive and conservative rates intersect."""
-    rate_n0, rate_i = crossover_rates(spec.params_at(0.0), spec.error_model())
-    lines = [
-        f"snr_db={_fmt(spec.snr_db)} mu_db={_fmt(spec.mu_db)}",
-        f"aggressive_rate_p0={_fmt(rate_n0)}",
-        f"conservative_rate={_fmt(rate_i)}",
-    ]
-    try:
-        p_th = crossover_from_rates(rate_n0, rate_i)
-    except NoCrossoverError:
-        lines.append("status=no-crossover")
-    else:
-        lines.append(f"p_th={_fmt(p_th)}")
-    return "\n".join(lines) + "\n"
+    rate_n0, rate_i, p_th = crossover(spec.params_at(0.0), spec.error_model())
+    return (f"snr_db={_fmt(spec.snr_db)} mu_db={_fmt(spec.mu_db)}\n"
+            f"aggressive_rate_p0={_fmt(rate_n0)}\n"
+            f"conservative_rate={_fmt(rate_i)}\n"
+            f"p_th={_fmt(p_th)}\n")
 
 
 def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
@@ -320,6 +265,29 @@ def _parse_schemes(raw) -> tuple[Scheme, ...]:
     return tuple(s for s in SCHEME_ORDER if s.value in picked)
 
 
+def _real(value) -> float:
+    """``value`` as a float; a bool is refused rather than read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """``value`` as an int. A bool or a number with a fractional part is
+    refused rather than silently truncated to a count or seed."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"must be an integer, got {value!r}")
+
+
+def _path(value) -> str | None:
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"must be a file name, got {value!r}")
+
+
 def resolve_spec(args: argparse.Namespace) -> SweepSpec:
     """Merge flags > config file > defaults into a validated SweepSpec."""
     file_values: dict = {}
@@ -327,31 +295,38 @@ def resolve_spec(args: argparse.Namespace) -> SweepSpec:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object, got "
+                              f"{type(file_values).__name__}")
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(key: str):
+    def pick(key: str, convert):
+        """The winning value for ``key``, converted; a value of the wrong
+        type (from a config file) is a config error naming the key."""
         flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        return file_values.get(key, DEFAULTS[key])
+        value = flag if flag is not None else file_values.get(key, DEFAULTS[key])
+        try:
+            return convert(value)
+        except TypeError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
     try:
         spec = SweepSpec(
-            snr_db=float(pick("snr_db")),
-            mu_db=float(pick("mu_db")),
-            pb=float(pick("pb")),
-            ber_const=float(pick("ber_const")),
-            p_grid=_parse_grid(pick("p_grid")),
-            schemes=_parse_schemes(pick("schemes")),
-            symbols=int(pick("symbols")),
-            seed=int(pick("seed")),
-            mode=SimMode(pick("mode")),
-            block_len=int(pick("block_len")),
-            out=pick("out"),
+            snr_db=pick("snr_db", _real),
+            mu_db=pick("mu_db", _real),
+            pb=pick("pb", _real),
+            ber_const=pick("ber_const", _real),
+            p_grid=pick("p_grid", _parse_grid),
+            schemes=pick("schemes", _parse_schemes),
+            symbols=pick("symbols", _integer),
+            seed=pick("seed", _integer),
+            mode=pick("mode", SimMode),
+            block_len=pick("block_len", _integer),
+            out=pick("out", _path),
         )
         # Construct the value objects now so bad combinations fail before
         # any computation runs.
@@ -394,7 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ConvergenceError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 1
-    _emit(text, spec.out)
+    try:
+        _emit(text, spec.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {_one_line(exc)}", file=sys.stderr)
+        return 1
     return 0 if ok else 2
 
 

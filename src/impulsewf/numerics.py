@@ -18,7 +18,6 @@ from scipy.special import exp1
 
 __all__ = [
     "ConvergenceError",
-    "budget_rows",
     "solve_cutoffs",
 ]
 
@@ -50,18 +49,6 @@ def _scaled_budget_and_tail(t, weights, means):
     tail = weights * np.exp(-z)
     spend = tail - weights * z * exp1(z)
     return spend.sum(axis=1), tail.sum(axis=1)
-
-
-def budget_rows(t, weights, means) -> np.ndarray:
-    """B(t) per row: the average spend (1/t - 1/gamma)+ of each mixture.
-
-    ``weights`` and ``means`` have one row per mixture and one column per
-    exponential component; ``t`` has one entry per row.
-    """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    spend, _ = _scaled_budget_and_tail(t, np.asarray(weights, dtype=float),
-                                       np.asarray(means, dtype=float))
-    return spend / t
 
 
 def _validate(weights, means, k):

@@ -24,10 +24,9 @@ Outage accounting: a transmitted symbol is in outage when its realised BER
 exceeds the target (plus a 1e-12 guard for the exact-equality case at zero
 INR). With water-filling, the realised BER of a transmitted symbol
 collapses to a per-burst-state constant -- the target itself when the
-assumed state matches or over-protects, and the clean-priced hit BER of
-:func:`impulse_ber_under_conventional` when a burst hits a symbol assumed
-clean -- so :func:`impulsewf.adaptation.bursts_lost` decides the mask
-rather than per-symbol arithmetic. Under the conventional scheme, symbols
+assumed state matches or over-protects, and a BER above it when a burst
+hits a symbol assumed clean -- so :func:`impulsewf.adaptation.bursts_lost`
+decides the mask rather than per-symbol arithmetic. Under the conventional scheme, symbols
 parked below the cutoff while their block's feedback overstated their
 SINR are counted as outage as well: the scheme broke its per-block
 guarantee for them, and the p(1-p) outage law counts exactly these
@@ -62,8 +61,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
-                         assumption_weights, bursts_lost, policy_rate,
-                         wf_power_fraction, wf_rate_bits)
+                         assumption_weights, bursts_lost, policy_rate)
 from .channel import ChannelParams, sample_fading
 
 __all__ = [
@@ -188,29 +186,40 @@ def _window_sums(policy: Policy, lost: bool, basis: np.ndarray, assumed,
     ``basis`` is the full-power SINR each symbol is adapted on and
     ``assumed`` the burst state it was priced with: a bool array of
     governing states under conventional, one numpy bool otherwise.
+
+    Water-filling at cutoff t and budget constant k spends the power
+    fraction (1/t - 1/g) / k and carries log2(g / t) bits, g = max(basis, t),
+    so both are exactly 0 at and below the cutoff.
     """
-    power = wf_power_fraction(basis, policy)
-    transmitted = power > 0.0
-    rate = np.where(transmitted, wf_rate_bits(basis, policy), 0.0)
+    t = policy.threshold
+    g = np.maximum(basis, t)
+    power = np.divide(1.0, g)
+    np.subtract(1.0 / t, power, out=power)
+    power /= policy.k_used
+    g /= t
+    rate = np.log2(g, out=g)
 
     # Realised BER of a transmitted symbol is the target unless a burst
     # hits a symbol adapted as clean (see bursts_lost).
     if lost:
         outage = actual & ~assumed
         if policy.scheme is not Scheme.CONVENTIONAL:
-            outage &= transmitted
-        credited = np.where(outage, 0.0, rate)
+            outage &= power > 0.0
+        np.copyto(rate, 0.0, where=outage)
         outages = np.count_nonzero(outage)
     else:
-        credited, outages = rate, 0
+        outages = 0
 
     hits = np.count_nonzero(actual)
     assumed_hits = np.count_nonzero(np.broadcast_to(assumed, basis.shape))
     both = np.count_nonzero(actual & assumed)
     tallies = (basis.size - assumed_hits - hits + both, hits - both,
                assumed_hits - both, both)
-    return (float(credited.sum()), float((credited ** 2).sum()),
-            float(power.sum()), outages, tallies)
+    power_sum = float(power.sum())
+    # The power array is summed; its buffer now takes the squared rates.
+    rate_sq = np.square(rate, out=power)
+    return (float(rate.sum()), float(rate_sq.sum()), power_sum, outages,
+            tallies)
 
 
 def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,

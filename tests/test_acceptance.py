@@ -14,16 +14,16 @@ import pytest
 from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf import simulate
-from impulsewf.adaptation import (ErrorModel, Scheme, crossover_pth,
-                                  cutoff_rows, impulse_ber_under_conventional,
-                                  make_policy, rate_aggressive,
-                                  rate_conservative, rate_conventional,
-                                  rate_for, wf_power_fraction)
+from impulsewf.adaptation import (
+    _impulse_ber_under_conventional as impulse_ber_under_conventional)
+from impulsewf.adaptation import ErrorModel, Scheme, cutoff_rows, make_policy
 from impulsewf.channel import ChannelParams
-from impulsewf.cli import cmd_simulate, cmd_theory, parse_csv, resolve_spec
-from impulsewf.numerics import budget_rows
+from impulsewf.cli import cmd_simulate, cmd_theory, resolve_spec
 from impulsewf.simulate import SimConfig, simulate_policy
-from oracles import density_at, integrate_semi_infinite
+from oracles import (budget_rows, crossover_pth, density_at,
+                     integrate_semi_infinite, parse_csv, rate_aggressive,
+                     rate_conservative, rate_conventional, rate_for,
+                     wf_power_fraction)
 
 EM = ErrorModel(target_ber=1e-3)
 GRID = [i / 10 for i in range(11)]

@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1 as exp_integral_e1
 
-from impulsewf.adaptation import (LOG2_E, ErrorModel, NoCrossoverError,
-                                  Policy, Scheme, assumption_weights,
-                                  bursts_lost, crossover_from_rates,
-                                  crossover_pth, cutoff_rows,
-                                  impulse_ber_under_conventional,
-                                  make_policies, make_policy, policy_rate,
-                                  qam_ber, rate_aggressive, rate_conservative,
-                                  rate_conventional, rate_for,
-                                  wf_power_fraction, wf_rate_bits)
+from impulsewf.adaptation import (
+    _impulse_ber_under_conventional as impulse_ber_under_conventional)
+from impulsewf.adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
+                                  assumption_weights, bursts_lost, crossover,
+                                  cutoff_rows, make_policies, make_policy,
+                                  policy_rate)
 from impulsewf.channel import ChannelParams
-from impulsewf.numerics import budget_rows, solve_cutoffs
+from impulsewf.numerics import solve_cutoffs
 from impulsewf.simulate import policy_outage
-from oracles import density_at, integrate_semi_infinite
+from oracles import (budget_rows, crossover_pth, density_at,
+                     integrate_semi_infinite, qam_ber, rate_aggressive,
+                     rate_conservative, rate_conventional, rate_for,
+                     wf_power_fraction, wf_rate_bits)
 
 EM = ErrorModel(target_ber=1e-3)
 
@@ -321,15 +321,13 @@ class TestCrossover:
         params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=0.5)
         assert crossover_pth(params, EM) == 0.0
 
-    def test_no_crossover_raises(self):
-        with pytest.raises(NoCrossoverError):
-            crossover_from_rates(0.3, 0.4)
-
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
 snr_dbs = st.floats(min_value=-100.0, max_value=120.0)
 inr_dbs = st.floats(min_value=-30.0, max_value=100.0)
+# Down to -300 dB, where bursts carry next to no interference, and none.
+faint_inr_dbs = st.floats(min_value=-300.0, max_value=100.0) | st.just(-math.inf)
 probs = st.floats(min_value=0.0, max_value=1.0)
 # BER targets log-uniform over (1e-12, 0.2), below the curve coefficient.
 targets = st.floats(min_value=-12.0, max_value=math.log10(0.2),
@@ -341,7 +339,8 @@ db_steps = st.floats(min_value=0.01, max_value=20.0)
 
 
 class TestCutoffProperties:
-    """Over the whole SNR range [-100, 120] dB and INR range [-30, 100] dB."""
+    """Over the whole SNR range [-100, 120] dB and INR range [-30, 100] dB;
+    the crossover clamp also down to -300 dB INR and none."""
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, inr_dbs, probs, targets)
@@ -402,18 +401,20 @@ class TestCutoffProperties:
         high = replace(low, inr_db=min(inr_db + step, 100.0))
         assert crossover_pth(low, em) <= crossover_pth(high, em)
 
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, faint_inr_dbs, targets)
+    def test_conservative_never_beats_aggressive_at_p0(self, snr_db, inr_db,
+                                                       pb):
+        # mean_sinr_impulse <= mean_sinr_clean, so conservative cannot truly
+        # beat aggressive at p = 0. The clamp of p_th at 0 in crossover may
+        # only absorb cutoff-solve rounding, a few ulps at INR near -150 dB.
+        params = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=0.0)
+        aggressive, conservative, p_th = crossover(params, ErrorModel(pb))
+        assert conservative <= aggressive * (1.0 + 1e-12)
+        assert 0.0 <= p_th <= 1.0
+
 
 class TestPolicyRates:
-    def test_matches_scalar_rates(self):
-        for config in (SET_A, SET_B, SET_C):
-            for p in (0.0, 0.4, 1.0):
-                params = params_for(config, p)
-                for scheme, rate in ((Scheme.CONVENTIONAL, rate_conventional),
-                                     (Scheme.AGGRESSIVE, rate_aggressive),
-                                     (Scheme.CONSERVATIVE, rate_conservative)):
-                    policy = make_policy(scheme, params, EM)
-                    assert policy_rate(policy, params, EM) == rate(params, EM)
-
     def test_one_aggressive_policy_serves_every_p(self):
         policy = make_policy(Scheme.AGGRESSIVE, params_for(SET_B, 0.0), EM)
         for p in (0.1, 0.5, 0.9):

@@ -11,9 +11,9 @@ import pytest
 
 import impulsewf
 from impulsewf import cli, simulate
-from impulsewf.cli import (CSV_HEADER, main, parse_csv, resolve_spec,
-                           rows_to_csv)
+from impulsewf.cli import CSV_HEADER, main, resolve_spec, rows_to_csv
 from impulsewf.numerics import ConvergenceError
+from oracles import parse_csv
 
 CONV_A = [0.4842, 0.4246, 0.3707, 0.3237, 0.2845, 0.2544,
           0.2349, 0.2281, 0.2360, 0.2612, 0.3064]
@@ -314,6 +314,45 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config,extra", [
+        ('{"p_grid": 0.5}', []),
+        ('{"symbols": null}', []),
+        ('{"schemes": 5}', []),
+        ('{"snr_db": [1]}', []),
+        ('{"snr_db": true}', []),
+        ("5", []),
+        ("[" * 100_000 + "]" * 100_000, []),
+        ('{"seed": 1.7}', []),
+        ('{"seed": true}', []),
+        ('{"symbols": 2.5}', []),
+        ('{"block_len": 1.5}', []),
+        ('{"out": 5}', []),
+        ("{}", ["--out", "missing/x.csv"]),
+    ], ids=["grid-number", "symbols-null", "schemes-number", "snr-list",
+            "snr-bool", "top-level-number", "deep-nesting", "seed-fraction",
+            "seed-bool", "symbols-fraction", "block-len-fraction",
+            "out-number", "out-missing-dir"])
+    def test_bad_input_is_one_line_exit_1(self, capsys, tmp_path, config,
+                                          extra):
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+        code, out, err = run(capsys, ["theory", "--config", str(path), *extra])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(("config error: ", "error: "))
+        assert err.count("\n") == 1
+
+    def test_integral_float_counts_are_accepted(self, capsys, tmp_path):
+        # JSON has one number type: 1e5 and 2.0 are whole numbers.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"symbols": 1e5, "seed": 2.0}))
+        _, out, _ = run(capsys, ["simulate", "--config", str(path),
+                                 "--p-grid", "0.5"])
+        _, flags, _ = run(capsys, ["simulate", "--symbols", "100000",
+                                   "--seed", "2", "--p-grid", "0.5"])
+        assert out == flags
 
     def test_module_entry_point_without_traceback(self):
         # Exit 1 shows that ``python -m impulsewf.cli`` reaches main().

@@ -1,4 +1,5 @@
-"""Export surface: every exported name exists, once, in some module's list."""
+"""Export surface: every exported name exists, once, in some module's list,
+and the package exports exactly the names listed here."""
 
 import importlib
 
@@ -7,6 +8,32 @@ import pytest
 import impulsewf
 
 MODULES = ["adaptation", "channel", "cli", "numerics", "simulate"]
+
+# Adding or removing a public name means editing this list.
+PACKAGE_NAMES = [
+    "ChannelParams",
+    "ConvergenceError",
+    "ErrorModel",
+    "Policy",
+    "Scheme",
+    "SimConfig",
+    "SimMode",
+    "SimResult",
+    "crossover",
+    "cutoff_rows",
+    "db_to_linear",
+    "make_policies",
+    "make_policy",
+    "policy_outage",
+    "policy_rate",
+    "sample_fading",
+    "simulate_policy",
+    "solve_cutoffs",
+]
+
+
+def test_package_surface_is_pinned():
+    assert sorted(impulsewf.__all__) == PACKAGE_NAMES
 
 
 @pytest.mark.parametrize("name",

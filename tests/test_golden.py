@@ -3,8 +3,9 @@
 
 The files pin the CSV and report text of ``theory``, ``simulate`` (per-symbol
 and block mode), ``crossover`` and ``verify`` on parameter sets A, B and C,
-plus the zero-interference and 120 dB SNR corners. A change that means to
-alter this output regenerates the files with
+plus the zero-interference and 120 dB SNR corners and a crossover whose
+rates tie but for rounding. A change that means to alter this output
+regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -36,6 +37,9 @@ for _name, _link in SETS.items():
     CALLS[f"verify_{_name}"] = ["verify", *_link]
 CALLS["theory_no_interference"] = ["theory", "--mu-db=-inf"]
 CALLS["theory_snr120"] = ["theory", "--snr-db", "120"]
+# Cutoff-solve rounding puts conservative a few ulps above aggressive here.
+CALLS["crossover_tiny_inr"] = ["crossover", "--snr-db", "-100",
+                               "--mu-db", "-158.9"]
 
 
 def call(argv):

@@ -8,8 +8,8 @@ import pytest
 from scipy.special import exp1
 
 from impulsewf.adaptation import ErrorModel
-from impulsewf.numerics import budget_rows, solve_cutoffs
-from oracles import integrate_semi_infinite
+from impulsewf.numerics import solve_cutoffs
+from oracles import budget_rows, integrate_semi_infinite
 
 K_SINR = ErrorModel(target_ber=1e-3).k_sinr
 

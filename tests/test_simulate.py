@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from impulsewf import simulate
-from impulsewf.adaptation import (ErrorModel, Scheme,
-                                  impulse_ber_under_conventional, make_policy,
-                                  qam_ber, rate_for, wf_power_fraction,
-                                  wf_rate_bits)
+from impulsewf.adaptation import (
+    _impulse_ber_under_conventional as impulse_ber_under_conventional)
+from impulsewf.adaptation import ErrorModel, Scheme, make_policy
 from impulsewf.channel import ChannelParams
 from impulsewf.simulate import (SimConfig, SimMode, _draw_windows,
                                 policy_outage, policy_sim_rate,
                                 simulate_policy)
-from oracles import sinr_of
+from oracles import qam_ber, rate_for, sinr_of, wf_power_fraction, wf_rate_bits
 
 EM = ErrorModel(target_ber=1e-3)
 SET_A = dict(snr_db=0.0, inr_db=0.0)
