@@ -233,15 +233,28 @@ class TestConfigResolution:
         assert code == 1
 
     def test_schemes_normalised_to_canonical_order(self):
-        parser_args = type("A", (), {"config": None, "snr_db": None,
-                                     "mu_db": None, "pb": None,
-                                     "ber_const": None, "p_grid": None,
-                                     "schemes": "conservative,conventional",
-                                     "symbols": None, "seed": None,
-                                     "mode": None, "block_len": None,
-                                     "out": None})()
-        spec = resolve_spec(parser_args)
+        args = cli._build_parser().parse_args(
+            ["theory", "--schemes", "conservative,conventional"])
+        spec = resolve_spec(args)
         assert [s.value for s in spec.schemes] == ["conventional", "conservative"]
+
+
+class TestOptionSurface:
+    # OPTIONS is the one list of options: these pin the parser and the
+    # config file to it.
+    @pytest.mark.parametrize("command",
+                             ["theory", "simulate", "crossover", "verify"])
+    def test_every_parser_has_exactly_the_table_options(self, command):
+        args = cli._build_parser().parse_args([command])
+        assert set(vars(args)) - {"command"} == {"config", *cli.OPTIONS}
+
+    def test_config_of_all_defaults_is_no_config(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(
+            {key: default for key, (default, _, _) in cli.OPTIONS.items()}))
+        parse = cli._build_parser().parse_args
+        with_file = resolve_spec(parse(["simulate", "--config", str(path)]))
+        assert with_file == resolve_spec(parse(["simulate"]))
 
 
 def run_module(*args):
@@ -315,26 +328,35 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("config,extra", [
-        ('{"p_grid": 0.5}', []),
-        ('{"symbols": null}', []),
-        ('{"schemes": 5}', []),
-        ('{"snr_db": [1]}', []),
-        ('{"snr_db": true}', []),
-        ("5", []),
-        ("[" * 100_000 + "]" * 100_000, []),
-        ('{"seed": 1.7}', []),
-        ('{"seed": true}', []),
-        ('{"symbols": 2.5}', []),
-        ('{"block_len": 1.5}', []),
-        ('{"out": 5}', []),
-        ("{}", ["--out", "missing/x.csv"]),
-    ], ids=["grid-number", "symbols-null", "schemes-number", "snr-list",
-            "snr-bool", "top-level-number", "deep-nesting", "seed-fraction",
-            "seed-bool", "symbols-fraction", "block-len-fraction",
-            "out-number", "out-missing-dir"])
+    # Each case names the key its message must mention, or None when the
+    # error belongs to no single key.
+    @pytest.mark.parametrize("config,extra,key", [
+        ('{"p_grid": 0.5}', [], "p_grid"),
+        ('{"p_grid": [false, true]}', [], "p_grid"),
+        ('{"p_grid": ["0.5"]}', [], "p_grid"),
+        ('{"symbols": null}', [], "symbols"),
+        ('{"schemes": 5}', [], "schemes"),
+        ('{"schemes": []}', [], "schemes"),
+        ('{"snr_db": [1]}', [], "snr_db"),
+        ('{"snr_db": true}', [], "snr_db"),
+        ('{"snr_db": 1' + "0" * 400 + "}", [], "snr_db"),
+        ('{"pb": "0.001"}', [], "pb"),
+        ('{"mode": 5}', [], "mode"),
+        ("5", [], None),
+        ("[" * 100_000 + "]" * 100_000, [], None),
+        ('{"seed": 1.7}', [], "seed"),
+        ('{"seed": true}', [], "seed"),
+        ('{"symbols": 2.5}', [], "symbols"),
+        ('{"block_len": 1.5}', [], "block_len"),
+        ('{"out": 5}', [], "out"),
+        ("{}", ["--out", "missing/x.csv"], None),
+    ], ids=["grid-number", "grid-bools", "grid-string-item", "symbols-null",
+            "schemes-number", "schemes-empty", "snr-list", "snr-bool",
+            "snr-huge-int", "pb-string", "mode-number", "top-level-number",
+            "deep-nesting", "seed-fraction", "seed-bool", "symbols-fraction",
+            "block-len-fraction", "out-number", "out-missing-dir"])
     def test_bad_input_is_one_line_exit_1(self, capsys, tmp_path, config,
-                                          extra):
+                                          extra, key):
         path = tmp_path / "run.json"
         path.write_text(config)
         extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
@@ -343,6 +365,8 @@ class TestErrors:
         assert out == ""
         assert err.startswith(("config error: ", "error: "))
         assert err.count("\n") == 1
+        if key is not None:
+            assert f"{key}: " in err
 
     def test_integral_float_counts_are_accepted(self, capsys, tmp_path):
         # JSON has one number type: 1e5 and 2.0 are whole numbers.
