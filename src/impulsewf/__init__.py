@@ -6,11 +6,10 @@ that measures them, and a CSV-emitting CLI for parameter sweeps.
 """
 
 from .adaptation import (ErrorModel, Policy, Scheme, crossover, cutoff_rows,
-                         make_policies, make_policy, policy_rate)
+                         make_policies, make_policy, policy_law)
 from .channel import ChannelParams, db_to_linear, sample_fading
 from .numerics import ConvergenceError, solve_cutoffs
-from .simulate import (SimConfig, SimMode, SimResult, policy_outage,
-                       simulate_policy)
+from .simulate import SimConfig, SimMode, SimResult, simulate_policy
 
 __version__ = "0.1.0"
 
@@ -28,8 +27,7 @@ __all__ = [
     "db_to_linear",
     "make_policies",
     "make_policy",
-    "policy_outage",
-    "policy_rate",
+    "policy_law",
     "sample_fading",
     "simulate_policy",
     "solve_cutoffs",

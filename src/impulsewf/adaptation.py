@@ -5,8 +5,7 @@ the transmitter picks a power fraction and constellation size from the
 SINR it believes a symbol has, holding the instantaneous bit error rate at
 a target while spending the average power budget exactly. The three
 policies are one rule, water-filling on the SINR, under three beliefs
-about the burst state, and :func:`assumption_weights` is the only place
-that tells them apart:
+about the burst state, and :func:`assumption_weights` gives each belief:
 
 * ``conventional`` believes the burst state fed back at the start of each
   coherence block, clean with probability 1-p and hit with probability p;
@@ -18,9 +17,10 @@ SINR table, the means (mean_sinr_clean, mean_sinr_impulse). Every cutoff
 is priced on that table at the budget constant ``k_sinr``, so every
 threshold is on the SINR scale: ``cutoff_rows`` lays out the rows,
 ``make_policies`` solves them in one call of
-:func:`impulsewf.numerics.solve_cutoffs`, and ``policy_rate`` reads the
-same weights to give the average spectral efficiency as log2(e) times a
-weighted sum of E1(t / mean). A sweep solves each cutoff once, and
+:func:`impulsewf.numerics.solve_cutoffs`, and :func:`policy_law`, the one
+place that prices what a burst costs a symbol believed clean, reads the
+same weights to give the rate, log2(e) times a weighted sum of
+E1(t / mean), and the outage. A sweep solves each cutoff once, and
 :func:`crossover` solves the two cutoffs that fix the paper's crossover
 burst probability in one call. All functions are pure and all records
 immutable.
@@ -48,7 +48,7 @@ __all__ = [
     "cutoff_rows",
     "make_policies",
     "make_policy",
-    "policy_rate",
+    "policy_law",
     "bursts_lost",
     "crossover",
 ]
@@ -93,15 +93,11 @@ class ErrorModel:
 
 @dataclass(frozen=True)
 class Policy:
-    """A solved water-filling policy: scheme, cutoff and budget constant.
-
-    The cutoff is on the SINR the scheme believes a symbol has, for every
-    scheme, and ``k_used`` is the error model's ``k_sinr``.
-    """
+    """A solved water-filling policy: the scheme and its cutoff on the
+    SINR it believes a symbol has, priced at the error model's k_sinr."""
 
     scheme: Scheme
     threshold: float
-    k_used: float
 
     def __post_init__(self) -> None:
         if not self.threshold > 0.0:
@@ -142,9 +138,9 @@ def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
     the result for a pair equals ``make_policy`` on that pair alone.
     """
     weights, means = cutoff_rows(requests)
-    k = em.k_sinr
-    thresholds = solve_cutoffs(weights, means, np.full(len(requests), k))
-    return [Policy(scheme=scheme, threshold=float(t), k_used=k)
+    thresholds = solve_cutoffs(weights, means,
+                               np.full(len(requests), em.k_sinr))
+    return [Policy(scheme=scheme, threshold=float(t))
             for (scheme, _), t in zip(requests, thresholds)]
 
 
@@ -153,22 +149,27 @@ def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy
     return make_policies([(scheme, params)], em)[0]
 
 
-def policy_rate(policy: Policy, params: ChannelParams, em: ErrorModel) -> float:
-    """Closed-form average spectral efficiency of a solved policy on ``params``.
+def policy_law(policy: Policy, params: ChannelParams, em: ErrorModel,
+               mismatch: float = 1.0) -> tuple[float, float]:
+    """(rate, outage) of a solved policy on ``params``, in closed form.
 
-    ``policy`` must have been solved for this link and ``em``; the
-    aggressive and conservative cutoffs do not depend on the burst
-    probability, so one such policy serves every p. A symbol believed to
-    be in a state earns log2(e) * E1(t / mean) of that state on average,
-    so with the scheme's weights (w_clean, w_hit) the rate is
+    ``policy`` must have been solved for this link and ``em``; one
+    aggressive or conservative policy serves every p. ``mismatch`` is the
+    share of symbols whose own burst state is drawn apart from the state
+    fed back (``SimConfig.mismatch``): 1 in the paper's model, (L - 1)/L
+    in block sampling. With the scheme's weights (w_clean, w_hit) and
+    R = log2(e) * E1(t / mean), what a symbol believed in a state earns,
 
-        (1 - p * lost) * w_clean * R_clean + w_hit * R_hit,
+        rate = (1 - p * exposed) * w_clean * R_clean + w_hit * R_hit,
+        outage = p * w_clean * share.
 
-    R = log2(e) * E1(t / mean). ``lost`` is :func:`bursts_lost`: a burst
-    on a symbol believed clean then misses the BER target and earns
-    nothing, which costs the believed-clean share the factor 1 - p.
-    Conventional thus earns (1-p)^2 R_clean + p R_hit, aggressive
-    (1 - p) R_clean, exactly linear in p, and conservative R_hit.
+    When :func:`bursts_lost`, a burst on a symbol believed clean earns
+    nothing. Conventional then exposes and counts the mismatched share,
+    parked or not (exposed = share = mismatch); a fixed belief exposes
+    every symbol and loses those it transmits (exposed = 1,
+    share = exp(-t / mean_sinr_clean)). Otherwise exposed = share = 0.
+    At mismatch 1, conventional earns (1-p)^2 R_clean + p R_hit,
+    aggressive (1 - p) R_clean, exactly linear in p, and conservative R_hit.
 
     For a one-state belief the budget equation makes E1(z), z = t/m,
     equal exp(-z)/z - k*m at the cutoff; E1 avoids the cancellation that
@@ -177,10 +178,16 @@ def policy_rate(policy: Policy, params: ChannelParams, em: ErrorModel) -> float:
     t = policy.threshold
     p = params.impulse_prob
     w_clean, w_hit = assumption_weights(policy.scheme, p)
-    kept = 1.0 - p if bursts_lost(params, em) else 1.0
     clean_rate = LOG2_E * exp1(t / params.mean_sinr_clean)
     hit_rate = LOG2_E * exp1(t / params.mean_sinr_impulse)
-    return float(kept * w_clean * clean_rate + w_hit * hit_rate)
+    if not bursts_lost(params, em):
+        exposed = share = 0.0
+    elif policy.scheme is Scheme.CONVENTIONAL:
+        exposed = share = mismatch
+    else:
+        exposed, share = 1.0, math.exp(-t / params.mean_sinr_clean)
+    rate = (1.0 - p * exposed) * w_clean * clean_rate + w_hit * hit_rate
+    return float(rate), p * w_clean * share
 
 
 def _impulse_ber_under_conventional(em: ErrorModel, inr_linear: float) -> float:
@@ -226,6 +233,6 @@ def crossover(params: ChannelParams, em: ErrorModel
     at_p0 = replace(params, impulse_prob=0.0)
     aggressive, conservative = make_policies(
         [(Scheme.AGGRESSIVE, at_p0), (Scheme.CONSERVATIVE, at_p0)], em)
-    rate_n0 = policy_rate(aggressive, at_p0, em)
-    rate_i = policy_rate(conservative, at_p0, em)
+    rate_n0, _ = policy_law(aggressive, at_p0, em)
+    rate_i, _ = policy_law(conservative, at_p0, em)
     return rate_n0, rate_i, max(0.0, 1.0 - rate_i / rate_n0)

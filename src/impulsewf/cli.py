@@ -31,11 +31,10 @@ import sys
 from dataclasses import dataclass, replace
 
 from .adaptation import (ErrorModel, Policy, Scheme, crossover, make_policies,
-                         policy_rate)
+                         policy_law)
 from .channel import ChannelParams
 from .numerics import ConvergenceError
-from .simulate import (SimConfig, SimMode, policy_outage, policy_sim_rate,
-                       simulate_policy)
+from .simulate import SimConfig, SimMode, simulate_policy
 
 __all__ = [
     "ConfigError",
@@ -186,24 +185,25 @@ def _sweep(spec: SweepSpec) -> list[tuple[float, ChannelParams, Policy]]:
 
 def cmd_theory(spec: SweepSpec) -> str:
     """Closed-form sweep: one row per (p, scheme)."""
-    em = spec.em
-    rows = [(p, policy.scheme.value, policy_rate(policy, params, em), None,
-             policy_outage(policy, params, em), None, None, None)
-            for p, params, policy in _sweep(spec)]
+    rows = []
+    for p, params, policy in _sweep(spec):
+        rate, outage = policy_law(policy, params, spec.em)
+        rows.append((p, policy.scheme.value, rate, None, outage, None, None,
+                     None))
     return rows_to_csv(rows)
 
 
 def cmd_simulate(spec: SweepSpec) -> str:
-    """Sweep with Monte Carlo columns next to the closed forms."""
+    """Sweep with Monte Carlo columns next to the closed forms: the paper's
+    rate in every mode and the sampling mode's outage law."""
     em, cfg = spec.em, spec.cfg
     rows = []
     for p, params, policy in _sweep(spec):
         result = simulate_policy(policy, params, em, cfg)
-        rows.append((
-            p, policy.scheme.value, policy_rate(policy, params, em),
-            result.avg_se,
-            policy_outage(policy, params, em, cfg.mode, cfg.block_len),
-            result.outage_frac, result.mean_power_frac, cfg.seed))
+        rate, _ = policy_law(policy, params, em)
+        _, outage = policy_law(policy, params, em, cfg.mismatch)
+        rows.append((p, policy.scheme.value, rate, result.avg_se, outage,
+                     result.outage_frac, result.mean_power_frac, cfg.seed))
     return rows_to_csv(rows)
 
 
@@ -219,18 +219,18 @@ def cmd_crossover(spec: SweepSpec) -> str:
 def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
     """Compare simulation to theory row by row.
 
-    Theory is the rate the sampling mode should measure
-    (:func:`impulsewf.simulate.policy_sim_rate`): the closed form in
-    per-symbol mode, plus what the first symbol of each block earns in
-    block mode. A row fails when |rate_sim - theory| exceeds
-    max(0.005, 3 * standard error of the simulated mean).
+    Theory is the rate the sampling mode should measure, ``policy_law``
+    at the mode's ``mismatch``: the closed form in per-symbol mode, plus
+    what the first symbol of each block earns in block mode. A row fails
+    when |rate_sim - theory| exceeds max(0.005, 3 * standard error of the
+    simulated mean).
     """
     em, cfg = spec.em, spec.cfg
     lines = []
     failures = 0
     total = 0
     for p, params, policy in _sweep(spec):
-        theory = policy_sim_rate(policy, params, em, cfg.mode, cfg.block_len)
+        theory, _ = policy_law(policy, params, em, cfg.mismatch)
         result = simulate_policy(policy, params, em, cfg)
         stderr = result.avg_se_stderr
         diff = abs(result.avg_se - theory)

@@ -17,8 +17,10 @@ Two sampling modes:
 * ``block``: fading power and governing state are drawn once per block of
   ``block_len`` symbols, whose first symbol is the governing one, so its
   governing and actual states coincide by construction. That first symbol
-  lifts the conventional rate above the per-symbol closed form;
-  :func:`policy_sim_rate` gives the rate each mode should measure.
+  lifts the conventional rate above the per-symbol closed form.
+
+:func:`impulsewf.adaptation.policy_law` at ``SimConfig.mismatch`` gives
+the rate and outage each mode should measure.
 
 Outage accounting: a transmitted symbol is in outage when its realised BER
 exceeds the target (plus a 1e-12 guard for the exact-equality case at zero
@@ -26,10 +28,10 @@ INR). With water-filling, the realised BER of a transmitted symbol
 collapses to a per-burst-state constant -- the target itself when the
 assumed state matches or over-protects, and a BER above it when a burst
 hits a symbol assumed clean -- so :func:`impulsewf.adaptation.bursts_lost`
-decides the mask rather than per-symbol arithmetic. Under the conventional scheme, symbols
-parked below the cutoff while their block's feedback overstated their
-SINR are counted as outage as well: the scheme broke its per-block
-guarantee for them, and the p(1-p) outage law counts exactly these
+decides the mask rather than per-symbol arithmetic. Under the conventional
+scheme, symbols parked below the cutoff while their block's feedback
+overstated their SINR are counted as outage as well: the scheme broke its
+per-block guarantee for them, and the outage law counts exactly these
 mismatch events. Zero-rate symbols never experience an error event under
 the other two schemes.
 
@@ -58,10 +60,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import exp1
 
-from .adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
-                         assumption_weights, bursts_lost, policy_rate)
+from .adaptation import (ErrorModel, Policy, Scheme, assumption_weights,
+                         bursts_lost)
 from .channel import ChannelParams, sample_fading
 
 __all__ = [
@@ -69,8 +70,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "simulate_policy",
-    "policy_outage",
-    "policy_sim_rate",
 ]
 
 # Symbols evaluated at once; bounds the simulator's memory.
@@ -107,6 +106,14 @@ class SimConfig:
                              f"mode, got block_len={self.block_len} > "
                              f"n_symbols={self.n_symbols}")
 
+    @property
+    def mismatch(self) -> float:
+        """``policy_law``'s ``mismatch``: each symbol draws its burst state
+        apart from the fed-back one, except the first of a block."""
+        if self.mode is SimMode.BLOCK:
+            return (self.block_len - 1) / self.block_len
+        return 1.0
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -115,10 +122,10 @@ class SimResult:
     ``counts`` tallies symbols by (assumed burst state, actual burst
     state), where the assumed state is the one the scheme adapted on:
     the sampled feedback state for conventional, always-clean for
-    aggressive, always-hit for conservative. ``rate_sq_mean`` carries the
-    second moment of the per-symbol credited rate for the standard error.
-    In block mode ``n_symbols`` is the value after rounding up to whole
-    blocks.
+    aggressive, always-hit for conservative. ``rate_sq_mean`` is the mean
+    square of a batch's mean credited rate, a batch being the run's i.i.d.
+    unit: a symbol per symbol, a block in block mode. In block mode
+    ``n_symbols`` is the value after rounding up to whole blocks.
     """
 
     scheme: str
@@ -133,15 +140,11 @@ class SimResult:
 
     @property
     def avg_se_stderr(self) -> float:
-        """Standard error of avg_se from the per-symbol rate variance.
-
-        Block mode uses the bound block_len * variance / n_symbols, which
-        holds however strongly a block's shared fading ties its symbols.
-        """
+        """Batch-means standard error of avg_se: batches are i.i.d., so it
+        is the spread of the batch means over the root of their number."""
+        batch = self.block_len if self.mode == SimMode.BLOCK.value else 1
         variance = max(self.rate_sq_mean - self.avg_se ** 2, 0.0)
-        if self.mode == SimMode.BLOCK.value:
-            variance *= self.block_len
-        return math.sqrt(variance / self.n_symbols)
+        return math.sqrt(variance / (self.n_symbols // batch))
 
 
 def _stream(seed: int, offset: int) -> np.random.Generator:
@@ -177,11 +180,12 @@ def _draw_windows(params: ChannelParams, cfg: SimConfig, governing: bool = True
                mask.reshape(-1))
 
 
-def _window_sums(policy: Policy, lost: bool, basis: np.ndarray, assumed,
-                 actual: np.ndarray
+def _window_sums(policy: Policy, k: float, lost: bool, basis: np.ndarray,
+                 assumed, actual: np.ndarray, batch: int
                  ) -> tuple[float, float, float, int, tuple[int, int, int, int]]:
-    """Credited rate, its square, power and outage summed over one window,
-    and the (assumed, actual) tallies, flattened row-major.
+    """Credited rate, the square of its sum over each batch of ``batch``
+    consecutive symbols, power and outage summed over one window, and the
+    (assumed, actual) tallies, flattened row-major.
 
     ``basis`` is the full-power SINR each symbol is adapted on and
     ``assumed`` the burst state it was priced with: a bool array of
@@ -195,7 +199,7 @@ def _window_sums(policy: Policy, lost: bool, basis: np.ndarray, assumed,
     g = np.maximum(basis, t)
     power = np.divide(1.0, g)
     np.subtract(1.0 / t, power, out=power)
-    power /= policy.k_used
+    power /= k
     g /= t
     rate = np.log2(g, out=g)
 
@@ -216,8 +220,11 @@ def _window_sums(policy: Policy, lost: bool, basis: np.ndarray, assumed,
     tallies = (basis.size - assumed_hits - hits + both, hits - both,
                assumed_hits - both, both)
     power_sum = float(power.sum())
-    # The power array is summed; its buffer now takes the squared rates.
-    rate_sq = np.square(rate, out=power)
+    # The power array is summed; its buffer now takes the squared batch
+    # sums, which are the rates themselves for batches of one symbol.
+    # einsum sums the short rows several times faster than sum(axis=1).
+    sums = np.einsum("ij->i", rate.reshape(-1, batch)) if batch > 1 else rate
+    rate_sq = np.square(sums, out=power[:sums.size])
     return (float(rate.sum()), float(rate_sq.sum()), power_sum, outages,
             tallies)
 
@@ -226,8 +233,8 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
                     cfg: SimConfig) -> SimResult:
     """Run one deterministic Monte Carlo stream and measure a solved policy.
 
-    ``policy`` must have been solved for this link (see
-    :func:`impulsewf.adaptation.policy_rate`). Per symbol: adapt power and
+    ``policy`` must have been solved for this link and ``em`` (see
+    :func:`impulsewf.adaptation.policy_law`). Per symbol: adapt power and
     rate on the SINR of the assumed burst state, score the symbol against
     its actual burst state. ``avg_se`` averages the rate of transmitted,
     non-outage symbols over all symbols; ``mean_power_frac`` averages the
@@ -239,6 +246,7 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
     _, w_hit = assumption_weights(policy.scheme, params.impulse_prob)
     fixed_state = np.bool_(w_hit == 1.0)
     lost = bursts_lost(params, em)
+    batch = cfg.block_len if cfg.mode is SimMode.BLOCK else 1
     n = outages = 0
     rate_sum = rate_sq_sum = power_sum = 0.0
     tallies = [0, 0, 0, 0]
@@ -248,7 +256,7 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
         # SINR of the assumed state, H times that state's mean.
         h *= np.where(assumed, params.mean_sinr_impulse, params.mean_sinr_clean)
         rate, rate_sq, power, outage, counts = _window_sums(
-            policy, lost, h, assumed, actual)
+            policy, em.k_sinr, lost, h, assumed, actual, batch)
         n += h.size
         rate_sum += rate
         rate_sq_sum += rate_sq
@@ -264,54 +272,6 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
         avg_se=rate_sum / n,
         outage_frac=outages / n,
         mean_power_frac=power_sum / n,
-        rate_sq_mean=rate_sq_sum / n,
+        rate_sq_mean=rate_sq_sum / (n * batch),
         counts=((tallies[0], tallies[1]), (tallies[2], tallies[3])),
     )
-
-
-def policy_outage(policy: Policy, params: ChannelParams, em: ErrorModel,
-                  mode: SimMode = SimMode.PER_SYMBOL,
-                  block_len: int = 4) -> float:
-    """Outage fraction the sampling law predicts for a solved policy.
-
-    A symbol is lost when the scheme adapted it as clean and a burst hit
-    it, probability p * w_clean (see
-    :func:`impulsewf.adaptation.assumption_weights`). Conventional counts
-    every such mismatch, p(1-p), scaled by (block_len - 1)/block_len in
-    block mode where the first symbol of a block cannot mismatch its own
-    feedback. The fixed-assumption schemes lose only the symbols they
-    transmit, the share exp(-t / mean_sinr_clean) above the cutoff: p times
-    that for aggressive, zero for conservative. All zero when a burst
-    cannot push the BER past the target (zero INR; see
-    :func:`impulsewf.adaptation.bursts_lost`).
-    """
-    if not bursts_lost(params, em):
-        return 0.0
-    p = params.impulse_prob
-    w_clean, _ = assumption_weights(policy.scheme, p)
-    if policy.scheme is Scheme.CONVENTIONAL:
-        counted = (block_len - 1) / block_len if mode is SimMode.BLOCK else 1.0
-    else:
-        counted = math.exp(-policy.threshold / params.mean_sinr_clean)
-    return p * w_clean * counted
-
-
-def policy_sim_rate(policy: Policy, params: ChannelParams, em: ErrorModel,
-                    mode: SimMode, block_len: int) -> float:
-    """Average rate the sampling law of ``mode`` predicts for a solved policy.
-
-    Per-symbol mode samples :func:`impulsewf.adaptation.policy_rate`. In
-    block mode the first symbol of a conventional block cannot mismatch its
-    feedback, which adds p(1-p)/block_len * log2(e) * E1(t/mean_clean) when
-    bursts are lost; the fixed-assumption schemes do not read the feedback,
-    so their rate stays.
-    """
-    rate = policy_rate(policy, params, em)
-    if (mode is SimMode.BLOCK and policy.scheme is Scheme.CONVENTIONAL
-            and bursts_lost(params, em)):
-        p = params.impulse_prob
-        w_clean, _ = assumption_weights(policy.scheme, p)
-        first_symbol_gain = p * w_clean / block_len
-        rate += first_symbol_gain * LOG2_E * float(
-            exp1(policy.threshold / params.mean_sinr_clean))
-    return rate

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from impulsewf.adaptation import Scheme, crossover, make_policy, policy_rate
+from impulsewf.adaptation import Scheme, crossover, make_policy, policy_law
 from impulsewf.cli import CSV_HEADER
 from impulsewf.numerics import ConvergenceError
 
@@ -101,15 +101,15 @@ def qam_ber(gamma: float, m: float, ber_coeff: float = 0.2) -> float:
     return min(ber_coeff * math.exp(-1.5 * gamma / (m - 1.0)), 1.0)
 
 
-def wf_power_fraction(gamma, policy):
+def wf_power_fraction(gamma, policy, k):
     """Transmit power, as a fraction of the average budget, at full-power
-    SINR ``gamma``.
+    SINR ``gamma``, for a policy solved at budget constant ``k``.
 
     (1/k) * (1/threshold - 1/gamma) above the cutoff, zero at and below it.
     Scalar or array.
     """
     g = np.maximum(np.asarray(gamma, dtype=float), policy.threshold)
-    out = (1.0 / policy.threshold - 1.0 / g) / policy.k_used
+    out = (1.0 / policy.threshold - 1.0 / g) / k
     return out.item() if out.ndim == 0 else out
 
 
@@ -126,8 +126,8 @@ def wf_rate_bits(gamma, policy):
 
 def rate_for(scheme, params, em) -> float:
     """Closed-form average spectral efficiency of ``scheme`` on this link:
-    ``policy_rate`` at the cutoff solved for it."""
-    return policy_rate(make_policy(scheme, params, em), params, em)
+    ``policy_law`` at the cutoff solved for it."""
+    return policy_law(make_policy(scheme, params, em), params, em)[0]
 
 
 def rate_conventional(params, em) -> float:

@@ -180,10 +180,10 @@ def test_criterion_7_property_suite():
             weights, means = cutoff_rows([(scheme, params)])
             # Threshold residual and the analytic power budget.
             residual = budget_rows([policy.threshold], weights, means)[0] \
-                - policy.k_used
+                - EM.k_sinr
             assert abs(residual) <= 1e-9
             spent = integrate_semi_infinite(
-                lambda g: wf_power_fraction(g, policy)
+                lambda g: wf_power_fraction(g, policy, EM.k_sinr)
                 * density_at(weights[0], means[0], g),
                 policy.threshold)
             assert spent == pytest.approx(1.0, abs=1e-6)

@@ -13,10 +13,9 @@ from impulsewf.adaptation import (
 from impulsewf.adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
                                   assumption_weights, bursts_lost, crossover,
                                   cutoff_rows, make_policies, make_policy,
-                                  policy_rate)
+                                  policy_law)
 from impulsewf.channel import ChannelParams
 from impulsewf.numerics import solve_cutoffs
-from impulsewf.simulate import policy_outage
 from oracles import (budget_rows, crossover_pth, density_at,
                      integrate_semi_infinite, qam_ber, rate_aggressive,
                      rate_conservative, rate_conventional, rate_for,
@@ -66,7 +65,6 @@ class TestErrorModel:
         assert weights.tolist() == [[0.6, 0.4], [1.0, 0.0], [0.0, 1.0]]
         assert means.tolist() == \
             [[params.mean_sinr_clean, params.mean_sinr_impulse]] * 3
-        assert [p.k_used for p in make_policies(requests, EM)] == [EM.k_sinr] * 3
         assert EM.k_sinr > 0
 
 
@@ -111,18 +109,18 @@ class TestQamBer:
 
 class TestWaterfillingShapes:
     def setup_method(self):
-        self.policy = Policy(scheme=Scheme.AGGRESSIVE, threshold=0.758,
-                             k_used=0.283105)
+        self.policy = Policy(scheme=Scheme.AGGRESSIVE, threshold=0.758)
+        self.k = 0.283105
 
     def test_zero_at_and_below_threshold(self):
-        assert wf_power_fraction(0.758, self.policy) == 0.0
-        assert wf_power_fraction(0.5, self.policy) == 0.0
+        assert wf_power_fraction(0.758, self.policy, self.k) == 0.0
+        assert wf_power_fraction(0.5, self.policy, self.k) == 0.0
         assert wf_rate_bits(0.758, self.policy) == 0.0
         assert wf_rate_bits(0.9 * 0.758, self.policy) == 0.0
 
     def test_power_fraction_example(self):
         expected = (1.0 / 0.758 - 0.5) / 0.283105
-        got = wf_power_fraction(2.0, self.policy)
+        got = wf_power_fraction(2.0, self.policy, self.k)
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(2.8941, abs=1e-3)
 
@@ -131,7 +129,7 @@ class TestWaterfillingShapes:
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            Policy(scheme=Scheme.AGGRESSIVE, threshold=0.0, k_used=0.28)
+            Policy(scheme=Scheme.AGGRESSIVE, threshold=0.0)
 
 
 class TestCutoffRows:
@@ -177,7 +175,7 @@ class TestCutoffRows:
     def test_threshold_residuals(self, config, p, scheme):
         params = params_for(config, p)
         policy = make_policy(scheme, params, EM)
-        residual = spend_of(policy, params) - policy.k_used
+        residual = spend_of(policy, params) - EM.k_sinr
         assert abs(residual) <= 1e-9
 
     @pytest.mark.parametrize("config", [SET_A, SET_B, SET_C])
@@ -190,7 +188,8 @@ class TestCutoffRows:
         weights, means = cutoff_rows([(scheme, params)])
         row = (weights[0], means[0])
         spent = integrate_semi_infinite(
-            lambda g: wf_power_fraction(g, policy) * density_at(*row, g),
+            lambda g: wf_power_fraction(g, policy, EM.k_sinr)
+            * density_at(*row, g),
             policy.threshold)
         assert spent == pytest.approx(1.0, abs=1e-6)
 
@@ -261,7 +260,7 @@ class TestOutageAndHitBer:
         def outage(p):
             params = params_for(SET_A, p)
             policy = make_policy(Scheme.CONVENTIONAL, params, EM)
-            return policy_outage(policy, params, EM)
+            return policy_law(policy, params, EM)[1]
         assert outage(0.0) == 0.0
         assert outage(0.5) == 0.25
         assert outage(1.0) == 0.0
@@ -336,6 +335,11 @@ targets = st.floats(min_value=-12.0, max_value=math.log10(0.2),
 # Steps between two links, in dB: wide enough that the rate or crossover
 # they move is far above float noise.
 db_steps = st.floats(min_value=0.01, max_value=20.0)
+# The paper's range of links, and burst probabilities strictly inside (0, 1).
+paper_snr_dbs = st.floats(min_value=-20.0, max_value=60.0)
+paper_inr_dbs = st.floats(min_value=-30.0, max_value=60.0)
+inner_probs = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                        exclude_max=True)
 
 
 class TestCutoffProperties:
@@ -350,7 +354,7 @@ class TestCutoffProperties:
         for scheme in Scheme:
             policy = make_policy(scheme, params, em)
             spend = spend_of(policy, params)
-            assert abs(spend / policy.k_used - 1.0) <= 1e-9
+            assert abs(spend / em.k_sinr - 1.0) <= 1e-9
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, inr_dbs, targets)
@@ -367,9 +371,9 @@ class TestCutoffProperties:
         conservative = make_policy(Scheme.CONSERVATIVE, at_1, em)
         assert conv_0.threshold == aggressive.threshold
         assert conv_1.threshold == conservative.threshold
-        assert policy_rate(conv_0, at_0, em) == policy_rate(aggressive, at_0, em)
-        assert policy_rate(conv_1, at_1, em) == \
-            policy_rate(conservative, at_1, em)
+        assert policy_law(conv_0, at_0, em) == policy_law(aggressive, at_0, em)
+        assert policy_law(conv_1, at_1, em) == \
+            policy_law(conservative, at_1, em)
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21), targets)
@@ -382,7 +386,7 @@ class TestCutoffProperties:
         for (scheme, link), policy in zip(requests, together):
             alone = make_policy(scheme, link, em)
             assert policy.threshold == pytest.approx(alone.threshold, rel=1e-13)
-            assert (policy.scheme, policy.k_used) == (alone.scheme, alone.k_used)
+            assert policy.scheme == alone.scheme
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, db_steps, inr_dbs, probs, targets)
@@ -414,12 +418,69 @@ class TestCutoffProperties:
         assert 0.0 <= p_th <= 1.0
 
 
+class TestHeadline:
+    """The paper's claim: conventional water-filling is never the best of
+    the three schemes, over SNR [-20, 60] dB, INR [-30, 60] dB, p in (0, 1)
+    and every BER target. Conventional ties aggressive as p -> 0 and
+    conservative as p -> 1; the slack of 1e-12 takes only those ties'
+    rounding (3,000 examples: the largest excess was 1.3e-15, at p = 5e-324)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(paper_snr_dbs, paper_inr_dbs, inner_probs, targets)
+    def test_conventional_never_beats_both_simple_schemes(self, snr_db,
+                                                          inr_db, p, pb):
+        params = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
+        em = ErrorModel(target_ber=pb)
+        policies = make_policies([(scheme, params) for scheme in Scheme], em)
+        conventional, aggressive, conservative = (
+            policy_law(policy, params, em)[0] for policy in policies)
+        assert conventional <= max(aggressive, conservative) * (1.0 + 1e-12)
+
+
+class TestPolicyLaw:
+    """The law at a mismatch share below 1, as block sampling sees it."""
+
+    @pytest.mark.parametrize("config", [SET_A, SET_B, SET_C])
+    @pytest.mark.parametrize("mismatch", [0.0, 0.5, 7 / 8])
+    def test_conventional_first_symbols_earn_the_clean_rate(self, config,
+                                                            mismatch):
+        # Matched symbols believed clean keep their rate: the closed form
+        # plus p(1-p)(1 - mismatch) R_clean, and outage p(1-p) * mismatch.
+        params = params_for(config, 0.3)
+        policy = make_policy(Scheme.CONVENTIONAL, params, EM)
+        rate, outage = policy_law(policy, params, EM)
+        clean = LOG2_E * exp_integral_e1(policy.threshold
+                                         / params.mean_sinr_clean)
+        got_rate, got_outage = policy_law(policy, params, EM, mismatch)
+        assert got_rate == pytest.approx(
+            rate + 0.3 * 0.7 * (1.0 - mismatch) * clean, rel=1e-12)
+        assert got_outage == pytest.approx(outage * mismatch, rel=1e-15)
+
+    @pytest.mark.parametrize("scheme", [Scheme.AGGRESSIVE,
+                                        Scheme.CONSERVATIVE])
+    def test_fixed_beliefs_ignore_mismatch(self, scheme):
+        params = params_for(SET_B, 0.3)
+        policy = make_policy(scheme, params, EM)
+        assert policy_law(policy, params, EM, 0.25) == \
+            policy_law(policy, params, EM)
+
+    def test_no_loss_without_interference(self):
+        params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=0.3)
+        for scheme in Scheme:
+            policy = make_policy(scheme, params, EM)
+            assert policy_law(policy, params, EM, 0.5) == \
+                policy_law(policy, params, EM)
+            assert policy_law(policy, params, EM)[1] == 0.0
+
+
 class TestPolicyRates:
     def test_one_aggressive_policy_serves_every_p(self):
         policy = make_policy(Scheme.AGGRESSIVE, params_for(SET_B, 0.0), EM)
         for p in (0.1, 0.5, 0.9):
             params = params_for(SET_B, p)
-            assert policy_rate(policy, params, EM) == rate_aggressive(params, EM)
+            assert policy_law(policy, params, EM)[0] == \
+                rate_aggressive(params, EM)
 
     def test_empty_request_list(self):
         assert make_policies([], EM) == []
@@ -429,7 +490,7 @@ class TestPolicyRates:
         low = ChannelParams(snr_db=-100.0, inr_db=20.0, impulse_prob=0.5)
         high = ChannelParams(snr_db=120.0, inr_db=20.0, impulse_prob=0.5)
         for scheme in Scheme:
-            rates = [policy_rate(make_policy(scheme, params, EM), params, EM)
+            rates = [rate_for(scheme, params, EM)
                      for params in (low, high)]
             assert all(math.isfinite(r) and r >= 0.0 for r in rates)
             assert rates[0] < rates[1]

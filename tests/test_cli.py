@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import impulsewf
-from impulsewf import cli, simulate
+from impulsewf import cli
 from impulsewf.cli import CSV_HEADER, main, resolve_spec, rows_to_csv
 from impulsewf.numerics import ConvergenceError
 from oracles import parse_csv
@@ -172,9 +172,12 @@ class TestVerifyCommand:
         assert "verified 33/33 rows" in out
 
     def test_wrong_theory_is_flagged(self, capsys, monkeypatch):
-        rate = simulate.policy_rate
-        monkeypatch.setattr(simulate, "policy_rate",
-                            lambda *args: rate(*args) + 0.1)
+        law = cli.policy_law
+
+        def wrong_law(*args):
+            rate, outage = law(*args)
+            return rate + 0.1, outage
+        monkeypatch.setattr(cli, "policy_law", wrong_law)
         code, out, _ = run(capsys, ["verify", "--p-grid", "0.5"])
         assert code == 2
         assert out.count(" FAIL\n") == 3

@@ -24,8 +24,7 @@ PACKAGE_NAMES = [
     "db_to_linear",
     "make_policies",
     "make_policy",
-    "policy_outage",
-    "policy_rate",
+    "policy_law",
     "sample_fading",
     "simulate_policy",
     "solve_cutoffs",

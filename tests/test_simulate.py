@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +9,9 @@ import pytest
 from impulsewf import simulate
 from impulsewf.adaptation import (
     _impulse_ber_under_conventional as impulse_ber_under_conventional)
-from impulsewf.adaptation import ErrorModel, Scheme, make_policy
+from impulsewf.adaptation import ErrorModel, Scheme, make_policy, policy_law
 from impulsewf.channel import ChannelParams
 from impulsewf.simulate import (SimConfig, SimMode, _draw_windows,
-                                policy_outage, policy_sim_rate,
                                 simulate_policy)
 from oracles import qam_ber, rate_for, sinr_of, wf_power_fraction, wf_rate_bits
 
@@ -114,7 +112,7 @@ class TestOutageLaws:
     def test_aggressive_transmitted_burst_law(self, p):
         params = params_for(SET_B, p)
         result = run(params, Scheme.AGGRESSIVE, SimConfig(seed=88))
-        target = policy_outage(make_policy(Scheme.AGGRESSIVE, params, EM),
+        _, target = policy_law(make_policy(Scheme.AGGRESSIVE, params, EM),
                                params, EM)
         assert abs(result.outage_frac - target) <= \
             three_sigma_binomial(max(target, 1e-9), result.n_symbols)
@@ -152,7 +150,7 @@ class TestPerSymbolBerEquivalence:
         policy = make_policy(scheme, params, EM)
         assumed = assumed_states(scheme, governing)
         basis = sinr_of(params, h, assumed, 1.0)
-        power = wf_power_fraction(basis, policy)
+        power = wf_power_fraction(basis, policy, EM.k_sinr)
         transmitted = power > 0.0
         outage = np.zeros(h.size, dtype=bool)
         for i in np.nonzero(transmitted)[0]:
@@ -189,7 +187,8 @@ class TestPerSymbolBerEquivalence:
         cfg = SimConfig(n_symbols=20_000, seed=8)
         h, governing, _ = draw(params, cfg)
         policy = make_policy(Scheme.CONVENTIONAL, params, EM)
-        power = wf_power_fraction(sinr_of(params, h, governing, 1.0), policy)
+        power = wf_power_fraction(sinr_of(params, h, governing, 1.0), policy,
+                                  EM.k_sinr)
         result = run(params, Scheme.CONVENTIONAL, cfg)
         assert result.mean_power_frac == power.sum() / h.size
 
@@ -377,19 +376,36 @@ class TestBlockMode:
         cfg = SimConfig(n_symbols=100_000, seed=515, mode=SimMode.BLOCK,
                         block_len=block_len)
         result = run(params, scheme, cfg)
-        theory = policy_sim_rate(make_policy(scheme, params, EM), params, EM,
-                                 cfg.mode, cfg.block_len)
+        theory, _ = policy_law(make_policy(scheme, params, EM), params, EM,
+                               cfg.mismatch)
         assert abs(result.avg_se - theory) <= max(0.005, 3.0 * result.avg_se_stderr)
 
-    def test_block_stderr_is_block_len_times_variance_bound(self):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_block_stderr_is_the_batch_means_error(self, monkeypatch, scheme):
+        # Blocks are i.i.d.: the error is the spread of the block means over
+        # the root of the block count. Recomputed from the stream, whose
+        # eight windows of 125 blocks the simulator sums one by one; at
+        # INR 0 dB a burst on a symbol adapted as clean earns nothing.
+        params = params_for(SET_A, 0.5)
         cfg = SimConfig(n_symbols=8000, seed=3, mode=SimMode.BLOCK, block_len=8)
+        monkeypatch.setattr(simulate, "WINDOW", 1000)
+        h, governing, actual = draw(params, cfg)
+        policy = make_policy(scheme, params, EM)
+        assumed = assumed_states(scheme, governing)
+        rate = wf_rate_bits(sinr_of(params, h, assumed, 1.0), policy)
+        rate[actual & ~assumed] = 0.0
+        block_means = rate.reshape(-1, 8).mean(axis=1)
+        expected = block_means.std() / math.sqrt(block_means.size)
+
+        result = run(params, scheme, cfg)
+        assert result.avg_se == pytest.approx(block_means.mean(), rel=1e-12)
+        assert result.avg_se_stderr == pytest.approx(expected, rel=1e-9)
+
+    def test_per_symbol_stderr_is_the_symbol_error(self):
+        cfg = SimConfig(n_symbols=8000, seed=3, block_len=8)
         result = run(params_for(SET_A, 0.5), Scheme.AGGRESSIVE, cfg)
-        per_symbol = replace(result, mode=SimMode.PER_SYMBOL.value)
         variance = result.rate_sq_mean - result.avg_se ** 2
-        assert per_symbol.avg_se_stderr == pytest.approx(
-            math.sqrt(variance / result.n_symbols), rel=1e-12)
-        assert result.avg_se_stderr == pytest.approx(
-            math.sqrt(8.0) * per_symbol.avg_se_stderr, rel=1e-12)
+        assert result.avg_se_stderr == math.sqrt(variance / result.n_symbols)
 
     def test_block_longer_than_run_rejected(self):
         with pytest.raises(ValueError, match="block_len must not exceed"):
@@ -403,15 +419,21 @@ class TestBlockMode:
         result = run(params_for(SET_A, 0.5), Scheme.CONSERVATIVE, cfg)
         assert result.n_symbols == 1004
 
-    def test_policy_outage_helper(self):
+    def test_outage_law_per_mode(self):
         params = params_for(SET_A, 0.5)
+        block = SimConfig(mode=SimMode.BLOCK, block_len=4)
 
-        def outage(scheme, *mode):
-            return policy_outage(make_policy(scheme, params, EM), params, EM,
-                                 *mode)
+        def outage(scheme, cfg=SimConfig()):
+            return policy_law(make_policy(scheme, params, EM), params, EM,
+                              cfg.mismatch)[1]
         assert outage(Scheme.CONVENTIONAL) == 0.25
-        assert outage(Scheme.CONVENTIONAL, SimMode.BLOCK, 4) == 0.25 * 3 / 4
+        assert outage(Scheme.CONVENTIONAL, block) == 0.25 * 3 / 4
         assert outage(Scheme.CONSERVATIVE) == 0.0
+
+    def test_mismatch_share_per_mode(self):
+        assert SimConfig(block_len=8).mismatch == 1.0
+        assert SimConfig(mode=SimMode.BLOCK, block_len=8).mismatch == 7 / 8
+        assert SimConfig(mode=SimMode.BLOCK, block_len=1).mismatch == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
