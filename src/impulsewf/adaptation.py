@@ -164,10 +164,11 @@ def policy_law(policy: Policy, params: ChannelParams, em: ErrorModel,
         outage = p * w_clean * share.
 
     When :func:`bursts_lost`, a burst on a symbol believed clean earns
-    nothing. Conventional then exposes and counts the mismatched share,
-    parked or not (exposed = share = mismatch); a fixed belief exposes
-    every symbol and loses those it transmits (exposed = 1,
-    share = exp(-t / mean_sinr_clean)). Otherwise exposed = share = 0.
+    nothing. A belief read from feedback (0 < w_hit < 1) then exposes and
+    counts the mismatched share, parked or not (exposed = share =
+    mismatch); a fixed belief exposes every symbol and loses those it
+    transmits (exposed = 1, share = exp(-t / mean_sinr_clean)). Otherwise
+    exposed = share = 0.
     At mismatch 1, conventional earns (1-p)^2 R_clean + p R_hit,
     aggressive (1 - p) R_clean, exactly linear in p, and conservative R_hit.
 
@@ -182,7 +183,7 @@ def policy_law(policy: Policy, params: ChannelParams, em: ErrorModel,
     hit_rate = LOG2_E * exp1(t / params.mean_sinr_impulse)
     if not bursts_lost(params, em):
         exposed = share = 0.0
-    elif policy.scheme is Scheme.CONVENTIONAL:
+    elif 0.0 < w_hit < 1.0:
         exposed = share = mismatch
     else:
         exposed, share = 1.0, math.exp(-t / params.mean_sinr_clean)

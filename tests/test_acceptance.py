@@ -229,7 +229,7 @@ def test_criterion_8_determinism(monkeypatch):
     assert windowed.counts == whole.counts
     assert windowed.outage_frac == whole.outage_frac
     assert windowed.n_symbols == whole.n_symbols
-    for field in ("avg_se", "mean_power_frac", "rate_sq_mean"):
+    for field in ("avg_se", "mean_power_frac", "avg_se_stderr"):
         assert getattr(windowed, field) == pytest.approx(
             getattr(whole, field), rel=1e-12, abs=0.0)
     print("\nACCEPTANCE 8 PASS: fixed-seed CSV byte-identical; "

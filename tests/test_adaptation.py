@@ -16,6 +16,7 @@ from impulsewf.adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
                                   policy_law)
 from impulsewf.channel import ChannelParams
 from impulsewf.numerics import solve_cutoffs
+from impulsewf.simulate import SimConfig, SimMode, simulate_policy
 from oracles import (budget_rows, crossover_pth, density_at,
                      integrate_semi_infinite, qam_ber, rate_aggressive,
                      rate_conservative, rate_conventional, rate_for,
@@ -361,7 +362,8 @@ class TestCutoffProperties:
     def test_conventional_endpoints_match_simple_schemes(self, snr_db, inr_db,
                                                          pb):
         # Conventional at p = 0 holds aggressive's belief and at p = 1
-        # conservative's, so both solve the very same row.
+        # conservative's, so both solve the very same row, and the law and
+        # the simulator, which read only the belief, give the same results.
         at_0 = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=0.0)
         at_1 = replace(at_0, impulse_prob=1.0)
         em = ErrorModel(target_ber=pb)
@@ -374,6 +376,12 @@ class TestCutoffProperties:
         assert policy_law(conv_0, at_0, em) == policy_law(aggressive, at_0, em)
         assert policy_law(conv_1, at_1, em) == \
             policy_law(conservative, at_1, em)
+        for mode in SimMode:
+            cfg = SimConfig(n_symbols=1001, seed=5, mode=mode, block_len=4)
+            assert simulate_policy(conv_0, at_0, em, cfg) == \
+                simulate_policy(aggressive, at_0, em, cfg)
+            assert simulate_policy(conv_1, at_1, em, cfg) == \
+                simulate_policy(conservative, at_1, em, cfg)
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21), targets)
