@@ -16,13 +16,12 @@ A belief is a pair of weights (w_clean, w_hit) on the link's two-state
 SINR table, the means (mean_sinr_clean, mean_sinr_impulse). Every cutoff
 is priced on that table at the budget constant ``k_sinr``, so every
 threshold is on the SINR scale: ``cutoff_rows`` lays out the rows,
-``make_policies`` solves them in one call of
-:func:`impulsewf.numerics.solve_cutoffs`, and :func:`policy_law`, the one
-place that prices what a burst costs a symbol believed clean, reads the
-same weights to give the rate, log2(e) times a weighted sum of
-E1(t / mean), and the outage. A sweep solves each cutoff once, and
-:func:`crossover` solves the two cutoffs that fix the paper's crossover
-burst probability in one call. All functions are pure and all records
+``make_policies`` solves each distinct row once in one call of
+:func:`impulsewf.numerics.solve_cutoffs`, into policies that carry the
+link and error model they were solved for, and :func:`policy_law`, the
+one place that prices what a burst costs a symbol believed clean, reads
+the same weights to give the rate, log2(e) times a weighted sum of
+E1(t / mean), and the outage. All functions are pure and all records
 immutable.
 """
 
@@ -70,8 +69,9 @@ class ErrorModel:
 
     The BER curve is ``ber_coeff * exp(-1.5 * sinr / (M - 1))``; holding it
     at ``target_ber`` ties constellation size to received SINR. Requires
-    0 < target_ber < ber_coeff, else the tie-in constant is non-positive
-    and no cutoff exists.
+    0 < target_ber < ber_coeff < inf with a ratio that does not underflow
+    to 0, else the tie-in constant is not finite and positive and no
+    cutoff exists.
     """
 
     target_ber: float
@@ -84,6 +84,11 @@ class ErrorModel:
             raise ValueError(
                 f"target_ber must lie in (0, ber_coeff={self.ber_coeff}), "
                 f"got {self.target_ber}")
+        if not self.target_ber / self.ber_coeff > 0.0:
+            raise ValueError(
+                f"ber_coeff must be finite and target_ber / ber_coeff above "
+                f"0, got target_ber={self.target_ber}, "
+                f"ber_coeff={self.ber_coeff}")
 
     @property
     def k_sinr(self) -> float:
@@ -93,10 +98,13 @@ class ErrorModel:
 
 @dataclass(frozen=True)
 class Policy:
-    """A solved water-filling policy: the scheme and its cutoff on the
-    SINR it believes a symbol has, priced at the error model's k_sinr."""
+    """A water-filling policy solved by :func:`make_policies`: the scheme,
+    the link and error model it was solved for, and its cutoff on the SINR
+    it believes a symbol has, priced at ``em.k_sinr``."""
 
     scheme: Scheme
+    params: ChannelParams
+    em: ErrorModel
     threshold: float
 
     def __post_init__(self) -> None:
@@ -134,14 +142,19 @@ def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
                   em: ErrorModel) -> list[Policy]:
     """Solve the cutoff of every (scheme, link) pair in one vectorised call.
 
-    Each cutoff is solved independently of the others in the call, so
+    Each distinct row is solved once: a fixed belief's row is the same at
+    every p, and conventional's rows at p = 0 and p = 1 are aggressive's
+    and conservative's. Rows are solved independently of each other, so
     the result for a pair equals ``make_policy`` on that pair alone.
     """
-    weights, means = cutoff_rows(requests)
-    thresholds = solve_cutoffs(weights, means,
-                               np.full(len(requests), em.k_sinr))
-    return [Policy(scheme=scheme, threshold=float(t))
-            for (scheme, _), t in zip(requests, thresholds)]
+    keys = [(assumption_weights(scheme, link.impulse_prob), link.snr_db,
+             link.inr_db) for scheme, link in requests]
+    distinct = dict(zip(keys, requests))
+    weights, means = cutoff_rows(list(distinct.values()))
+    solved = dict(zip(distinct, solve_cutoffs(
+        weights, means, np.full(len(distinct), em.k_sinr)).tolist()))
+    return [Policy(scheme, link, em, solved[key])
+            for (scheme, link), key in zip(requests, keys)]
 
 
 def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy:
@@ -149,16 +162,14 @@ def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy
     return make_policies([(scheme, params)], em)[0]
 
 
-def policy_law(policy: Policy, params: ChannelParams, em: ErrorModel,
-               mismatch: float = 1.0) -> tuple[float, float]:
-    """(rate, outage) of a solved policy on ``params``, in closed form.
+def policy_law(policy: Policy, mismatch: float = 1.0) -> tuple[float, float]:
+    """(rate, outage) of a solved policy on its link, in closed form.
 
-    ``policy`` must have been solved for this link and ``em``; one
-    aggressive or conservative policy serves every p. ``mismatch`` is the
-    share of symbols whose own burst state is drawn apart from the state
-    fed back (``SimConfig.mismatch``): 1 in the paper's model, (L - 1)/L
-    in block sampling. With the scheme's weights (w_clean, w_hit) and
-    R = log2(e) * E1(t / mean), what a symbol believed in a state earns,
+    ``mismatch`` is the share of symbols whose own burst state is drawn
+    apart from the state fed back (``SimConfig.mismatch``): 1 in the
+    paper's model, (L - 1)/L in block sampling. With the scheme's weights
+    (w_clean, w_hit) and R = log2(e) * E1(t / mean), what a symbol
+    believed in a state earns,
 
         rate = (1 - p * exposed) * w_clean * R_clean + w_hit * R_hit,
         outage = p * w_clean * share.
@@ -176,12 +187,12 @@ def policy_law(policy: Policy, params: ChannelParams, em: ErrorModel,
     equal exp(-z)/z - k*m at the cutoff; E1 avoids the cancellation that
     form suffers when k*m is large.
     """
-    t = policy.threshold
+    t, params = policy.threshold, policy.params
     p = params.impulse_prob
     w_clean, w_hit = assumption_weights(policy.scheme, p)
     clean_rate = LOG2_E * exp1(t / params.mean_sinr_clean)
     hit_rate = LOG2_E * exp1(t / params.mean_sinr_impulse)
-    if not bursts_lost(params, em):
+    if not bursts_lost(params, policy.em):
         exposed = share = 0.0
     elif 0.0 < w_hit < 1.0:
         exposed = share = mismatch
@@ -234,6 +245,6 @@ def crossover(params: ChannelParams, em: ErrorModel
     at_p0 = replace(params, impulse_prob=0.0)
     aggressive, conservative = make_policies(
         [(Scheme.AGGRESSIVE, at_p0), (Scheme.CONSERVATIVE, at_p0)], em)
-    rate_n0, _ = policy_law(aggressive, at_p0, em)
-    rate_i, _ = policy_law(conservative, at_p0, em)
+    rate_n0, _ = policy_law(aggressive)
+    rate_i, _ = policy_law(conservative)
     return rate_n0, rate_i, max(0.0, 1.0 - rate_i / rate_n0)

@@ -14,10 +14,6 @@ JSON config file, which overrides the default. The CSV stream is
 deterministic: fixed column order, rows ordered by (p, scheme), '.' decimal
 separator, LF newlines, numbers carrying 12 significant digits.
 
-Every command solves each cutoff it needs once: a sweep solves all of its
-cutoffs in one vectorised call, with the p-independent aggressive and
-conservative cutoffs solved once rather than per p.
-
 Exit codes: 0 ok, 1 configuration or computation error (one line on
 stderr), 2 verification failure.
 """
@@ -164,46 +160,36 @@ def rows_to_csv(rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep(spec: SweepSpec) -> list[tuple[float, ChannelParams, Policy]]:
-    """(p, link, solved policy) per row, in (p, scheme) order.
-
-    All cutoffs come from one solve call. Conventional needs a cutoff per
-    p; aggressive and conservative one in all, as theirs do not depend
-    on p.
-    """
+def _sweep(spec: SweepSpec) -> list[Policy]:
+    """The solved policy of every row, in (p, scheme) order, from one
+    solve call."""
     links = [replace(spec.link, impulse_prob=p) for p in spec.p_grid]
-    conventional = Scheme.CONVENTIONAL
-    requests = [(s, link) for s in spec.schemes
-                for link in (links if s is conventional else links[:1])]
-    solved = iter(make_policies(requests, spec.em))
-    policies = {s: [next(solved) for _ in links] if s is conventional
-                else [next(solved)] * len(links) for s in spec.schemes}
-    return [(p, link, policies[s][i])
-            for i, (p, link) in enumerate(zip(spec.p_grid, links))
-            for s in spec.schemes]
+    return make_policies([(s, link) for link in links for s in spec.schemes],
+                         spec.em)
 
 
 def cmd_theory(spec: SweepSpec) -> str:
     """Closed-form sweep: one row per (p, scheme)."""
     rows = []
-    for p, params, policy in _sweep(spec):
-        rate, outage = policy_law(policy, params, spec.em)
-        rows.append((p, policy.scheme.value, rate, None, outage, None, None,
-                     None))
+    for policy in _sweep(spec):
+        rate, outage = policy_law(policy)
+        rows.append((policy.params.impulse_prob, policy.scheme.value, rate,
+                     None, outage, None, None, None))
     return rows_to_csv(rows)
 
 
 def cmd_simulate(spec: SweepSpec) -> str:
     """Sweep with Monte Carlo columns next to the closed forms: the paper's
     rate in every mode and the sampling mode's outage law."""
-    em, cfg = spec.em, spec.cfg
+    cfg = spec.cfg
     rows = []
-    for p, params, policy in _sweep(spec):
-        result = simulate_policy(policy, params, em, cfg)
-        rate, _ = policy_law(policy, params, em)
-        _, outage = policy_law(policy, params, em, cfg.mismatch)
-        rows.append((p, policy.scheme.value, rate, result.avg_se, outage,
-                     result.outage_frac, result.mean_power_frac, cfg.seed))
+    for policy in _sweep(spec):
+        result = simulate_policy(policy, cfg)
+        rate, _ = policy_law(policy)
+        _, outage = policy_law(policy, cfg.mismatch)
+        rows.append((policy.params.impulse_prob, policy.scheme.value, rate,
+                     result.avg_se, outage, result.outage_frac,
+                     result.mean_power_frac, cfg.seed))
     return rows_to_csv(rows)
 
 
@@ -225,13 +211,13 @@ def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
     when |rate_sim - theory| exceeds max(0.005, 3 * standard error of the
     simulated mean).
     """
-    em, cfg = spec.em, spec.cfg
+    cfg = spec.cfg
     lines = []
     failures = 0
     total = 0
-    for p, params, policy in _sweep(spec):
-        theory, _ = policy_law(policy, params, em, cfg.mismatch)
-        result = simulate_policy(policy, params, em, cfg)
+    for policy in _sweep(spec):
+        theory, _ = policy_law(policy, cfg.mismatch)
+        result = simulate_policy(policy, cfg)
         stderr = result.avg_se_stderr
         diff = abs(result.avg_se - theory)
         tol = max(0.005, 3.0 * stderr)
@@ -239,10 +225,9 @@ def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
         total += 1
         failures += 0 if ok else 1
         lines.append(
-            f"p={_fmt(p)} scheme={policy.scheme.value} theory={_fmt(theory)} "
-            f"sim={_fmt(result.avg_se)} diff={_fmt(diff)} "
-            f"stderr={_fmt(stderr)} tol={_fmt(tol)} "
-            f"{'PASS' if ok else 'FAIL'}")
+            f"p={_fmt(policy.params.impulse_prob)} scheme={policy.scheme.value} "
+            f"theory={_fmt(theory)} sim={_fmt(result.avg_se)} diff={_fmt(diff)} "
+            f"stderr={_fmt(stderr)} tol={_fmt(tol)} {'PASS' if ok else 'FAIL'}")
     lines.append(f"verified {total - failures}/{total} rows"
                  + ("" if failures == 0 else f", {failures} FAILED"))
     return "\n".join(lines) + "\n", failures == 0

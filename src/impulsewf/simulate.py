@@ -34,21 +34,21 @@ broke its per-block guarantee for them, and the outage law counts exactly
 these mismatch events. Under a fixed belief zero-rate symbols never
 experience an error event.
 
-Determinism and memory: a run is a pure function of (params, error model,
-scheme, config). It reads one PCG64 stream, seeded with ``cfg.seed``, laid
-out as consecutive segments. With B blocks of L symbols (L = 1 and B = n
-per symbol) the block fading uniforms come first, at [0, B). Per-symbol
-mode then draws the fed-back states at [B, 2B) and the actual states at
-[2B, 3B); block mode draws the row-major (B, L) burst mask at
-[B, B + B*L), whose first column is the fed-back state. The run is
-evaluated in windows of ``max(1, WINDOW // L)`` blocks, each segment read
-forward from a generator positioned with ``PCG64.advance``; only integer
-counts and float sums cross windows. Peak memory is therefore
-O(max(WINDOW, block_len)) symbols whatever ``n_symbols`` is, and
-``SimConfig`` keeps ``block_len <= n_symbols`` in block mode so that a
-block is never longer than the run. The window size does not change the
-draws: counts and outage are exact, and the float sums move only by their
-summation order (last digits).
+Determinism and memory: a run is a pure function of (policy, config). It
+reads one PCG64 stream, seeded with ``cfg.seed``, laid out as consecutive
+segments. With B blocks of L symbols (L = 1 and B = n per symbol) the
+block fading uniforms come first, at [0, B). Per-symbol mode then draws
+the fed-back states at [B, 2B) and the actual states at [2B, 3B); block
+mode draws the row-major (B, L) burst mask at [B, B + B*L), whose first
+column is the fed-back state. The run is evaluated in windows of
+``max(1, WINDOW // L)`` blocks, each segment read forward from a generator
+positioned with ``PCG64.advance``; only integer counts and float sums
+cross windows. Peak memory is therefore O(max(WINDOW, block_len)) symbols
+whatever ``n_symbols`` is, and ``SimConfig`` keeps
+``block_len <= n_symbols`` in block mode so that a block is never longer
+than the run. The window size does not change the draws: counts and
+outage are exact, and the float sums move only by their summation order
+(last digits).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adaptation import ErrorModel, Policy, assumption_weights, bursts_lost
+from .adaptation import Policy, assumption_weights, bursts_lost
 from .channel import ChannelParams, sample_fading
 
 __all__ = [
@@ -171,7 +171,7 @@ def _draw_windows(params: ChannelParams, cfg: SimConfig, governing: bool = True
         yield h, fed_back, actual
 
 
-def _window_sums(policy: Policy, k: float, lost: bool, parked: bool,
+def _window_sums(policy: Policy, lost: bool, parked: bool,
                  basis: np.ndarray, assumed, actual: np.ndarray
                  ) -> tuple[float, float, float, int, tuple[int, int, int, int]]:
     """Credited rate, its square per block, and power summed over the
@@ -184,11 +184,11 @@ def _window_sums(policy: Policy, k: float, lost: bool, parked: bool,
     the burst state of each of its symbols, shaped (symbols, blocks). A
     block is credited its rate once per symbol that is not lost.
 
-    Water-filling at cutoff t and budget constant k spends the power
-    fraction (1/t - 1/g) / k and carries log2(g / t) bits, g = max(basis, t),
-    so both are exactly 0 at and below the cutoff.
+    Water-filling at cutoff t and budget constant k = ``em.k_sinr`` spends
+    the power fraction (1/t - 1/g) / k and carries log2(g / t) bits,
+    g = max(basis, t), so both are exactly 0 at and below the cutoff.
     """
-    t = policy.threshold
+    t, k = policy.threshold, policy.em.k_sinr
     g = np.maximum(basis, t)
     power = np.divide(1.0, g)
     np.subtract(1.0 / t, power, out=power)
@@ -223,24 +223,23 @@ def _window_sums(policy: Policy, k: float, lost: bool, parked: bool,
             tallies)
 
 
-def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
-                    cfg: SimConfig) -> SimResult:
-    """Run one deterministic Monte Carlo stream and measure a solved policy.
+def simulate_policy(policy: Policy, cfg: SimConfig) -> SimResult:
+    """Run one deterministic Monte Carlo stream and measure a solved policy
+    on its link.
 
-    ``policy`` must have been solved for this link and ``em`` (see
-    :func:`impulsewf.adaptation.policy_law`). Per block: adapt power and
-    rate on the SINR of the assumed burst state, score each symbol against
-    its actual burst state. ``avg_se`` averages the rate of transmitted,
-    non-outage symbols over all symbols; ``mean_power_frac`` averages the
-    spent power fraction over all blocks including the zero-power ones
-    below the cutoff. The run is evaluated window by window, so memory
-    stays bounded whatever ``cfg.n_symbols`` is.
+    Per block: adapt power and rate on the SINR of the assumed burst
+    state, score each symbol against its actual burst state. ``avg_se``
+    averages the rate of transmitted, non-outage symbols over all symbols;
+    ``mean_power_frac`` averages the spent power fraction over all blocks
+    including the zero-power ones below the cutoff. The run is evaluated
+    window by window, so memory stays bounded whatever ``cfg.n_symbols`` is.
     """
+    params = policy.params
     _, w_hit = assumption_weights(policy.scheme, params.impulse_prob)
     # Only a belief that is not one fixed state reads the fed-back state.
     feedback = 0.0 < w_hit < 1.0
     fixed_state = np.bool_(w_hit == 1.0)
-    lost = bursts_lost(params, em)
+    lost = bursts_lost(params, policy.em)
     blocks = outages = 0
     rate_sum = rate_sq_sum = power_sum = 0.0
     tallies = [0, 0, 0, 0]
@@ -250,7 +249,7 @@ def simulate_policy(policy: Policy, params: ChannelParams, em: ErrorModel,
         # SINR of the assumed state, H times that state's mean.
         h *= np.where(assumed, params.mean_sinr_impulse, params.mean_sinr_clean)
         rate, rate_sq, power, outage, counts = _window_sums(
-            policy, em.k_sinr, lost, feedback, h, assumed, actual)
+            policy, lost, feedback, h, assumed, actual)
         blocks += h.size
         rate_sum += rate
         rate_sq_sum += rate_sq

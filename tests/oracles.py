@@ -127,7 +127,7 @@ def wf_rate_bits(gamma, policy):
 def rate_for(scheme, params, em) -> float:
     """Closed-form average spectral efficiency of ``scheme`` on this link:
     ``policy_law`` at the cutoff solved for it."""
-    return policy_law(make_policy(scheme, params, em), params, em)[0]
+    return policy_law(make_policy(scheme, params, em))[0]
 
 
 def rate_conventional(params, em) -> float:

@@ -54,7 +54,7 @@ def params_for(config, p):
 
 
 def run(params, scheme, cfg):
-    return simulate_policy(make_policy(scheme, params, EM), params, EM, cfg)
+    return simulate_policy(make_policy(scheme, params, EM), cfg)
 
 
 def spec_for(config, **overrides):

@@ -1,6 +1,7 @@
 """Policy construction, BER model, closed-form rates, and their invariants."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -57,6 +58,16 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             ErrorModel(target_ber=1e-3, ber_coeff=0.0)
 
+    @pytest.mark.parametrize("target,coeff", [(1e-3, math.inf),
+                                              (1e-30, 1e300),
+                                              (1e-300, 1e308)])
+    def test_rejects_constants_without_a_budget_constant(self, target, coeff):
+        # An infinite coefficient, or a ratio target/coeff that underflows
+        # to 0, leaves log(target/coeff) and so k_sinr undefined.
+        with pytest.raises(ValueError, match=re.escape(
+                f"target_ber={target}, ber_coeff={coeff}")):
+            ErrorModel(target_ber=target, ber_coeff=coeff)
+
     def test_constants_relations(self):
         # Every scheme prices its cutoff at k_sinr on the same two SINR
         # means; only the weights on them differ.
@@ -110,7 +121,8 @@ class TestQamBer:
 
 class TestWaterfillingShapes:
     def setup_method(self):
-        self.policy = Policy(scheme=Scheme.AGGRESSIVE, threshold=0.758)
+        self.policy = Policy(Scheme.AGGRESSIVE, params_for(SET_A, 0.5), EM,
+                             threshold=0.758)
         self.k = 0.283105
 
     def test_zero_at_and_below_threshold(self):
@@ -130,7 +142,7 @@ class TestWaterfillingShapes:
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            Policy(scheme=Scheme.AGGRESSIVE, threshold=0.0)
+            Policy(Scheme.AGGRESSIVE, params_for(SET_A, 0.5), EM, threshold=0.0)
 
 
 class TestCutoffRows:
@@ -261,7 +273,7 @@ class TestOutageAndHitBer:
         def outage(p):
             params = params_for(SET_A, p)
             policy = make_policy(Scheme.CONVENTIONAL, params, EM)
-            return policy_law(policy, params, EM)[1]
+            return policy_law(policy)[1]
         assert outage(0.0) == 0.0
         assert outage(0.5) == 0.25
         assert outage(1.0) == 0.0
@@ -373,15 +385,13 @@ class TestCutoffProperties:
         conservative = make_policy(Scheme.CONSERVATIVE, at_1, em)
         assert conv_0.threshold == aggressive.threshold
         assert conv_1.threshold == conservative.threshold
-        assert policy_law(conv_0, at_0, em) == policy_law(aggressive, at_0, em)
-        assert policy_law(conv_1, at_1, em) == \
-            policy_law(conservative, at_1, em)
+        assert policy_law(conv_0) == policy_law(aggressive)
+        assert policy_law(conv_1) == policy_law(conservative)
         for mode in SimMode:
             cfg = SimConfig(n_symbols=1001, seed=5, mode=mode, block_len=4)
-            assert simulate_policy(conv_0, at_0, em, cfg) == \
-                simulate_policy(aggressive, at_0, em, cfg)
-            assert simulate_policy(conv_1, at_1, em, cfg) == \
-                simulate_policy(conservative, at_1, em, cfg)
+            assert simulate_policy(conv_0, cfg) == simulate_policy(aggressive, cfg)
+            assert simulate_policy(conv_1, cfg) == \
+                simulate_policy(conservative, cfg)
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21), targets)
@@ -392,9 +402,7 @@ class TestCutoffProperties:
         requests = [(scheme, link) for link in links for scheme in Scheme]
         together = make_policies(requests, em)
         for (scheme, link), policy in zip(requests, together):
-            alone = make_policy(scheme, link, em)
-            assert policy.threshold == pytest.approx(alone.threshold, rel=1e-13)
-            assert policy.scheme == alone.scheme
+            assert policy == make_policy(scheme, link, em)
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, db_steps, inr_dbs, probs, targets)
@@ -442,7 +450,7 @@ class TestHeadline:
         em = ErrorModel(target_ber=pb)
         policies = make_policies([(scheme, params) for scheme in Scheme], em)
         conventional, aggressive, conservative = (
-            policy_law(policy, params, em)[0] for policy in policies)
+            policy_law(policy)[0] for policy in policies)
         assert conventional <= max(aggressive, conservative) * (1.0 + 1e-12)
 
 
@@ -457,10 +465,10 @@ class TestPolicyLaw:
         # plus p(1-p)(1 - mismatch) R_clean, and outage p(1-p) * mismatch.
         params = params_for(config, 0.3)
         policy = make_policy(Scheme.CONVENTIONAL, params, EM)
-        rate, outage = policy_law(policy, params, EM)
+        rate, outage = policy_law(policy)
         clean = LOG2_E * exp_integral_e1(policy.threshold
                                          / params.mean_sinr_clean)
-        got_rate, got_outage = policy_law(policy, params, EM, mismatch)
+        got_rate, got_outage = policy_law(policy, mismatch)
         assert got_rate == pytest.approx(
             rate + 0.3 * 0.7 * (1.0 - mismatch) * clean, rel=1e-12)
         assert got_outage == pytest.approx(outage * mismatch, rel=1e-15)
@@ -470,25 +478,54 @@ class TestPolicyLaw:
     def test_fixed_beliefs_ignore_mismatch(self, scheme):
         params = params_for(SET_B, 0.3)
         policy = make_policy(scheme, params, EM)
-        assert policy_law(policy, params, EM, 0.25) == \
-            policy_law(policy, params, EM)
+        assert policy_law(policy, 0.25) == policy_law(policy)
 
     def test_no_loss_without_interference(self):
         params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=0.3)
         for scheme in Scheme:
             policy = make_policy(scheme, params, EM)
-            assert policy_law(policy, params, EM, 0.5) == \
-                policy_law(policy, params, EM)
-            assert policy_law(policy, params, EM)[1] == 0.0
+            assert policy_law(policy, 0.5) == policy_law(policy)
+            assert policy_law(policy)[1] == 0.0
 
 
 class TestPolicyRates:
-    def test_one_aggressive_policy_serves_every_p(self):
-        policy = make_policy(Scheme.AGGRESSIVE, params_for(SET_B, 0.0), EM)
-        for p in (0.1, 0.5, 0.9):
-            params = params_for(SET_B, p)
-            assert policy_law(policy, params, EM)[0] == \
-                rate_aggressive(params, EM)
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, faint_inr_dbs, st.lists(probs, min_size=1, max_size=10),
+           targets)
+    def test_fixed_beliefs_over_p_from_one_solve(self, snr_db, inr_db, grid,
+                                                 pb):
+        # A fixed belief's row does not depend on p, so one make_policies
+        # call over a grid gives its policies one cutoff. Aggressive then
+        # loses the burst-hit share p of its p = 0 rate exactly when bursts
+        # are lost, and conservative, which never adapts as clean, is flat.
+        em = ErrorModel(target_ber=pb)
+        links = [ChannelParams(snr_db, inr_db, p) for p in [0.0, *grid]]
+        policies = make_policies(
+            [(scheme, link) for link in links for scheme in Scheme], em)
+        aggressive, conservative = policies[1::3], policies[2::3]
+        assert len({policy.threshold for policy in aggressive}) == 1
+        assert len({policy.threshold for policy in conservative}) == 1
+        at_p0 = policy_law(aggressive[0])[0]
+        lost = bursts_lost(links[0], em)
+        for link, policy in zip(links, aggressive):
+            p = link.impulse_prob
+            assert policy_law(policy)[0] == ((1.0 - p) * at_p0 if lost
+                                             else at_p0)
+        for policy in conservative:
+            assert policy_law(policy) == policy_law(conservative[0])
+
+    def test_links_share_no_rows(self):
+        # Sets A and C share an SNR, sets B and C an INR.
+        requests = [(scheme, params_for(config, p)) for p in (0.0, 0.4, 1.0)
+                    for config in (SET_A, SET_B, SET_C) for scheme in Scheme]
+        for (scheme, params), policy in zip(requests,
+                                            make_policies(requests, EM)):
+            assert policy == make_policy(scheme, params, EM)
+
+    def test_policy_carries_its_link(self):
+        params = params_for(SET_B, 0.3)
+        policy = make_policy(Scheme.CONVENTIONAL, params, EM)
+        assert policy.params is params and policy.em is EM
 
     def test_empty_request_list(self):
         assert make_policies([], EM) == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import impulsewf
-from impulsewf import cli
+from impulsewf import adaptation, cli
 from impulsewf.cli import CSV_HEADER, main, resolve_spec, rows_to_csv
 from impulsewf.numerics import ConvergenceError
 from oracles import parse_csv
@@ -196,6 +196,34 @@ class TestVerifyCommand:
         assert "config error" in err
 
 
+class TestSolveOnce:
+    """Each command makes one solve call, with each distinct cutoff row in
+    it once: a fixed belief's row serves every p, and conventional's rows
+    at p = 0 and p = 1 are aggressive's and conservative's."""
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["theory"], 11),
+        (["theory", "--p-grid", ",".join(f"{i / 20:g}" for i in range(21))],
+         21),
+        (["theory", "--p-grid", "0.5"], 3),
+        (["theory", "--schemes", "aggressive,conservative"], 2),
+        (["simulate", "--symbols", "100"], 11),
+        (["verify", "--symbols", "100", "--p-grid", "0.5"], 3),
+        (["crossover"], 2),
+    ])
+    def test_one_call_of_distinct_rows(self, capsys, monkeypatch, argv, rows):
+        calls = []
+        solve = adaptation.solve_cutoffs
+
+        def counted(weights, means, k):
+            calls.append(len(k))
+            return solve(weights, means, k)
+        monkeypatch.setattr(adaptation, "solve_cutoffs", counted)
+        code, _, _ = run(capsys, argv)
+        assert code in (0, 2)
+        assert calls == [rows]
+
+
 class TestConfigResolution:
     def test_config_file_supplies_values(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -312,6 +340,16 @@ class TestErrors:
         assert out == ""
         assert err.startswith("config error: block_len must not exceed")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--ber-const", "inf"],
+                                      ["--ber-const", "1e308", "--pb", "1e-300"]])
+    def test_ber_constants_without_budget_constant_rejected(self, capsys,
+                                                            argv):
+        code, out, err = run(capsys, ["theory", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "target_ber=" in err and "ber_coeff=" in err
 
     @pytest.mark.parametrize("flag", ["--snr-db", "--mu-db"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

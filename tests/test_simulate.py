@@ -32,7 +32,7 @@ def three_sigma_binomial(q, n):
 
 
 def run(params, scheme, cfg):
-    return simulate_policy(make_policy(scheme, params, EM), params, EM, cfg)
+    return simulate_policy(make_policy(scheme, params, EM), cfg)
 
 
 def draw(params, cfg):
@@ -152,8 +152,8 @@ class TestAgainstTheoryProperty:
         cfg = SimConfig(n_symbols=PROPERTY_SYMBOLS, seed=seed, mode=mode,
                         block_len=block_len)
         for policy in make_policies([(s, params) for s in Scheme], em):
-            rate, outage = policy_law(policy, params, em, cfg.mismatch)
-            result = simulate_policy(policy, params, em, cfg)
+            rate, outage = policy_law(policy, cfg.mismatch)
+            result = simulate_policy(policy, cfg)
             blocks = result.n_symbols // cfg.batch
             assert abs(result.avg_se - rate) <= \
                 max(RATE_FLOOR, 5.0 * result.avg_se_stderr)
@@ -175,8 +175,7 @@ class TestOutageLaws:
     def test_aggressive_transmitted_burst_law(self, p):
         params = params_for(SET_B, p)
         result = run(params, Scheme.AGGRESSIVE, SimConfig(seed=88))
-        _, target = policy_law(make_policy(Scheme.AGGRESSIVE, params, EM),
-                               params, EM)
+        _, target = policy_law(make_policy(Scheme.AGGRESSIVE, params, EM))
         assert abs(result.outage_frac - target) <= \
             three_sigma_binomial(max(target, 1e-9), result.n_symbols)
 
@@ -361,7 +360,7 @@ class TestWindows:
         def peak(n_symbols):
             tracemalloc.start()
             try:
-                simulate_policy(policy, params, EM, SimConfig(
+                simulate_policy(policy, SimConfig(
                     n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -442,8 +441,7 @@ class TestBlockMode:
         cfg = SimConfig(n_symbols=100_000, seed=515, mode=SimMode.BLOCK,
                         block_len=block_len)
         result = run(params, scheme, cfg)
-        theory, _ = policy_law(make_policy(scheme, params, EM), params, EM,
-                               cfg.mismatch)
+        theory, _ = policy_law(make_policy(scheme, params, EM), cfg.mismatch)
         assert abs(result.avg_se - theory) <= max(0.005, 3.0 * result.avg_se_stderr)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -498,8 +496,7 @@ class TestBlockMode:
         block = SimConfig(mode=SimMode.BLOCK, block_len=4)
 
         def outage(scheme, cfg=SimConfig()):
-            return policy_law(make_policy(scheme, params, EM), params, EM,
-                              cfg.mismatch)[1]
+            return policy_law(make_policy(scheme, params, EM), cfg.mismatch)[1]
         assert outage(Scheme.CONVENTIONAL) == 0.25
         assert outage(Scheme.CONVENTIONAL, block) == 0.25 * 3 / 4
         assert outage(Scheme.CONSERVATIVE) == 0.0
