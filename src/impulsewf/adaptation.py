@@ -53,8 +53,6 @@ __all__ = [
 ]
 
 LOG2_E = math.log2(math.e)
-# Slack on the BER test, so that a BER equal to the target is not a miss.
-OUTAGE_GUARD = 1e-12
 
 
 class Scheme(Enum):
@@ -192,7 +190,7 @@ def policy_law(policy: Policy, mismatch: float = 1.0) -> tuple[float, float]:
     w_clean, w_hit = assumption_weights(policy.scheme, p)
     clean_rate = LOG2_E * exp1(t / params.mean_sinr_clean)
     hit_rate = LOG2_E * exp1(t / params.mean_sinr_impulse)
-    if not bursts_lost(params, policy.em):
+    if not bursts_lost(params):
         exposed = share = 0.0
     elif 0.0 < w_hit < 1.0:
         exposed = share = mismatch
@@ -202,32 +200,16 @@ def policy_law(policy: Policy, mismatch: float = 1.0) -> tuple[float, float]:
     return float(rate), p * w_clean * share
 
 
-def _impulse_ber_under_conventional(em: ErrorModel, inr_linear: float) -> float:
-    """BER of a burst-hit symbol whose power and rate assumed a clean SINR.
-
-    The water-filling terms cancel, leaving
-    ber_coeff * exp(-1.5 / (k_sinr * (1 + INR))), algebraically equal to
-    ber_coeff^(INR/(1+INR)) * target^(1/(1+INR)). Exceeds the target for
-    every INR > 0; equals it at INR = 0.
-    """
-    if inr_linear < 0.0:
-        raise ValueError(f"inr_linear must be >= 0, got {inr_linear}")
-    if inr_linear == 0.0:
-        return em.target_ber
-    log_ratio = math.log(em.target_ber / em.ber_coeff)
-    return em.ber_coeff * math.exp(log_ratio / (1.0 + inr_linear))
-
-
-def bursts_lost(params: ChannelParams, em: ErrorModel) -> bool:
+def bursts_lost(params: ChannelParams) -> bool:
     """Whether a burst on a symbol adapted to a clean SINR misses the target.
 
-    True at every INR above about -97 dB for the default target; false at
-    zero interference (INR = -inf), where no burst costs a symbol. The
+    Water-filling holds such a symbol at BER ber_coeff^(INR/(1+INR)) *
+    target^(1/(1+INR)), above the target for every INR > 0 and equal to it
+    at zero interference (INR = -inf), where no burst costs a symbol. The
     closed-form rates, the outage law and the simulator all ask this one
     question, so they agree on which symbols earn nothing.
     """
-    hit_ber = _impulse_ber_under_conventional(em, params.inr_linear)
-    return hit_ber > em.target_ber + OUTAGE_GUARD
+    return params.inr_linear > 0.0
 
 
 def crossover(params: ChannelParams, em: ErrorModel

@@ -30,7 +30,7 @@ from .adaptation import (ErrorModel, Policy, Scheme, crossover, make_policies,
                          policy_law)
 from .channel import ChannelParams
 from .numerics import ConvergenceError
-from .simulate import SimConfig, SimMode, simulate_policy
+from .simulate import SimConfig, SimMode, simulate_policies
 
 __all__ = [
     "ConfigError",
@@ -182,9 +182,9 @@ def cmd_simulate(spec: SweepSpec) -> str:
     """Sweep with Monte Carlo columns next to the closed forms: the paper's
     rate in every mode and the sampling mode's outage law."""
     cfg = spec.cfg
+    policies = _sweep(spec)
     rows = []
-    for policy in _sweep(spec):
-        result = simulate_policy(policy, cfg)
+    for policy, result in zip(policies, simulate_policies(policies, cfg)):
         rate, _ = policy_law(policy)
         _, outage = policy_law(policy, cfg.mismatch)
         rows.append((policy.params.impulse_prob, policy.scheme.value, rate,
@@ -215,9 +215,9 @@ def cmd_verify(spec: SweepSpec) -> tuple[str, bool]:
     lines = []
     failures = 0
     total = 0
-    for policy in _sweep(spec):
+    policies = _sweep(spec)
+    for policy, result in zip(policies, simulate_policies(policies, cfg)):
         theory, _ = policy_law(policy, cfg.mismatch)
-        result = simulate_policy(policy, cfg)
         stderr = result.avg_se_stderr
         diff = abs(result.avg_se - theory)
         tol = max(0.005, 3.0 * stderr)

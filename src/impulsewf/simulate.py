@@ -22,52 +22,54 @@ Two sampling modes:
 the rate and outage each mode should measure.
 
 Outage accounting: a transmitted symbol is in outage when its realised BER
-exceeds the target (plus a 1e-12 guard for the exact-equality case at zero
-INR). With water-filling, the realised BER of a transmitted symbol
-collapses to a per-burst-state constant -- the target itself when the
-assumed state matches or over-protects, and a BER above it when a burst
-hits a symbol assumed clean -- so :func:`impulsewf.adaptation.bursts_lost`
-decides the mask rather than per-symbol arithmetic. Under a belief read
-from feedback, symbols parked below the cutoff while their block's
-feedback overstated their SINR are counted as outage as well: the scheme
-broke its per-block guarantee for them, and the outage law counts exactly
-these mismatch events. Under a fixed belief zero-rate symbols never
-experience an error event.
+exceeds the target. With water-filling, that BER collapses to a
+per-burst-state constant -- the target itself when the assumed state
+matches or over-protects, and a BER above it when a burst hits a symbol
+assumed clean -- so :func:`impulsewf.adaptation.bursts_lost` decides the
+mask rather than per-symbol arithmetic. Under a belief read from feedback,
+symbols parked below the cutoff while their block's feedback overstated
+their SINR are counted as outage as well: the scheme broke its per-block
+guarantee for them, and the outage law counts exactly these mismatch
+events. Under a fixed belief zero-rate symbols never see an error event.
 
-Determinism and memory: a run is a pure function of (policy, config). It
-reads one PCG64 stream, seeded with ``cfg.seed``, laid out as consecutive
+Determinism and memory: a run is a pure function of (policies, config).
+It reads one PCG64 stream, seeded with ``cfg.seed``, in consecutive
 segments. With B blocks of L symbols (L = 1 and B = n per symbol) the
 block fading uniforms come first, at [0, B). Per-symbol mode then draws
 the fed-back states at [B, 2B) and the actual states at [2B, 3B); block
 mode draws the row-major (B, L) burst mask at [B, B + B*L), whose first
-column is the fed-back state. The run is evaluated in windows of
-``max(1, WINDOW // L)`` blocks, each segment read forward from a generator
-positioned with ``PCG64.advance``; only integer counts and float sums
-cross windows. Peak memory is therefore O(max(WINDOW, block_len)) symbols
-whatever ``n_symbols`` is, and ``SimConfig`` keeps
-``block_len <= n_symbols`` in block mode so that a block is never longer
-than the run. The window size does not change the draws: counts and
-outage are exact, and the float sums move only by their summation order
-(last digits).
+column is the fed-back state. The stream depends on the config alone, so
+every row of a sweep reads it (common random numbers):
+:func:`simulate_policies` draws each window once and compares its burst
+uniforms with each distinct p once. A window holds
+``max(1, WINDOW // L)`` blocks, read forward from generators positioned
+with ``PCG64.advance``; only each row's counts and float sums cross
+windows, in window order, so a policy measures the same in a sweep as
+alone. Peak memory is O(max(WINDOW, block_len)) symbols for the draws
+plus each block's fed-back state and hit count per distinct p, whatever
+``n_symbols`` is (``SimConfig`` keeps ``block_len <= n_symbols`` in block
+mode). The window size changes no draw: counts and outage are exact, and
+the float sums move only by their summation order (last digits).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import operator
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .adaptation import Policy, assumption_weights, bursts_lost
-from .channel import ChannelParams, sample_fading
+from .channel import sample_fading
 
 __all__ = [
     "SimMode",
     "SimConfig",
     "SimResult",
-    "simulate_policy",
+    "simulate_policies",
 ]
 
 # Symbols evaluated at once; bounds the simulator's memory.
@@ -145,126 +147,146 @@ def _stream(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed).advance(offset))
 
 
-def _draw_windows(params: ChannelParams, cfg: SimConfig, governing: bool = True
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
-    """Yield (fading power, fed-back state, actual states) per window of
-    whole blocks, in stream order (module docstring): one of the first two
-    per block, the actual states as (``cfg.batch``, blocks), the transpose
-    of the row-major draw. With ``governing`` false the fed-back states
-    are left undrawn and yielded as None; the rest is read as before."""
-    p = params.impulse_prob
+def _draw_windows(cfg: SimConfig, ps: Collection[float], feedback: bool
+                  ) -> Iterator[tuple[np.ndarray, dict]]:
+    """Yield, per window of whole blocks in stream order (module
+    docstring), each block's fading power and, for each burst probability
+    in ``ps``, each block's fed-back state and number of hit symbols. With
+    ``feedback`` false the per-symbol fed-back states are left undrawn and
+    yielded as None; the rest is read as before."""
     batch = cfg.batch
     n_blocks = -(-cfg.n_symbols // batch)
     # Per symbol, the fed-back states have a segment of their own.
     own_feedback = cfg.mode is SimMode.PER_SYMBOL
-    fading, feedback = _stream(cfg.seed, 0), _stream(cfg.seed, n_blocks)
+    fading, fed = _stream(cfg.seed, 0), _stream(cfg.seed, n_blocks)
     bursts = _stream(cfg.seed, (1 + own_feedback) * n_blocks)
+    count = np.min_scalar_type(batch)
     step = max(1, WINDOW // batch)
     for start in range(0, n_blocks, step):
         size = min(step, n_blocks - start)
         # The fading array, which lives longest, is allocated before the
         # draws' temporaries; on a short last window that keeps RSS down.
         h = sample_fading(fading, size)
-        actual = bursts.random((size, batch)).T < p
-        fed_back = (None if not governing else
-                    feedback.random(size) < p if own_feedback else actual[0])
-        yield h, fed_back, actual
+        # The row-major (blocks, L) draw. Each p's mask is laid out one
+        # row per symbol of a block, so its hit count sums whole rows.
+        u = bursts.random((size, batch))
+        hits = {p: np.add.reduce(np.ascontiguousarray((u < p).T), axis=0,
+                                 dtype=count) for p in ps}
+        # In block mode the fed-back state is the first symbol's.
+        if own_feedback:
+            u = fed.random((size, 1)) if feedback else None
+        fed_back = {p: None if u is None else u[:, 0] < p for p in ps}
+        del u
+        yield h, {p: (fed_back[p], hits[p]) for p in ps}
+        # Release this window's arrays before the next one is drawn.
+        del h, hits, fed_back
 
 
-def _window_sums(policy: Policy, lost: bool, parked: bool,
-                 basis: np.ndarray, assumed, actual: np.ndarray
-                 ) -> tuple[float, float, float, int, tuple[int, int, int, int]]:
+def _window_sums(policy: Policy, lost: bool, parked: bool, batch: int,
+                 basis: np.ndarray, assumed, hits: np.ndarray) -> tuple:
     """Credited rate, its square per block, and power summed over the
-    blocks of one window, the outage count and the (assumed, actual)
-    symbol tallies, flattened row-major.
+    blocks of one window, the outage count and the four (assumed, actual)
+    symbol tallies, row-major.
 
-    ``basis`` is the full-power SINR each block is adapted on,
-    ``assumed`` the burst state it was priced with (a bool array of
-    fed-back states, or one numpy bool for a fixed belief) and ``actual``
-    the burst state of each of its symbols, shaped (symbols, blocks). A
-    block is credited its rate once per symbol that is not lost.
+    ``basis`` is the full-power SINR each block is adapted on, a buffer the
+    kernel works in, ``assumed`` the burst state it was priced with (a bool
+    array of fed-back states, or one numpy bool for a fixed belief) and
+    ``hits`` how many of its ``batch`` symbols a burst hits. A block is
+    credited its rate once per symbol that is not lost.
 
     Water-filling at cutoff t and budget constant k = ``em.k_sinr`` spends
     the power fraction (1/t - 1/g) / k and carries log2(g / t) bits,
     g = max(basis, t), so both are exactly 0 at and below the cutoff.
     """
     t, k = policy.threshold, policy.em.k_sinr
-    g = np.maximum(basis, t)
+    g = np.maximum(basis, t, out=basis)
     power = np.divide(1.0, g)
     np.subtract(1.0 / t, power, out=power)
     power /= k
     g /= t
     rate = np.log2(g, out=g)
 
-    hits = np.count_nonzero(actual)
-    assumed_hits = np.count_nonzero(np.broadcast_to(assumed, actual.shape))
-    both = np.count_nonzero(actual & assumed)
-    tallies = (actual.size - assumed_hits - hits + both, hits - both,
-               assumed_hits - both, both)
+    assumed_blocks = np.broadcast_to(assumed, hits.shape)
+    hit_symbols = int(np.add.reduce(hits, dtype=np.int64))
+    assumed_hits = batch * np.count_nonzero(assumed_blocks)
+    both = int(np.add.reduce(hits * assumed_blocks, dtype=np.int64))
 
     # Realised BER of a transmitted symbol is the target unless a burst
     # hits a symbol adapted as clean (see bursts_lost); ``parked`` counts
-    # such a burst as outage below the cutoff too. The masks are built in
-    # place to hold down the window's peak memory.
+    # such a burst as outage below the cutoff too. Every hit symbol of an
+    # exposed block is lost.
     exposed = power > 0.0
     exposed |= parked
     exposed &= ~assumed
     exposed &= lost
-    outage = actual & exposed
-    outages = np.count_nonzero(outage)
+    outage = np.multiply(hits, exposed)
+    outages = int(np.add.reduce(outage, dtype=np.int64))
     power_sum = float(power.sum())
     # The power array is summed; its buffer now takes each block's
     # credited rate, its rate once per symbol not lost, and the rate
     # buffer their squares.
-    kept = np.logical_not(outage, out=outage)
-    credited = np.einsum("b,lb->b", rate, kept, out=power)
+    kept = np.subtract(batch, outage, out=outage)
+    credited = np.multiply(rate, kept, out=power)
     rate_sq = np.square(credited, out=rate)
     return (float(credited.sum()), float(rate_sq.sum()), power_sum, outages,
-            tallies)
+            batch * hits.size - assumed_hits - hit_symbols + both,
+            hit_symbols - both, assumed_hits - both, both)
 
 
-def simulate_policy(policy: Policy, cfg: SimConfig) -> SimResult:
-    """Run one deterministic Monte Carlo stream and measure a solved policy
-    on its link.
+def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
+                      ) -> list[SimResult]:
+    """Run one deterministic Monte Carlo stream and measure each solved
+    policy on its link, one result per policy in order.
 
     Per block: adapt power and rate on the SINR of the assumed burst
     state, score each symbol against its actual burst state. ``avg_se``
     averages the rate of transmitted, non-outage symbols over all symbols;
     ``mean_power_frac`` averages the spent power fraction over all blocks
-    including the zero-power ones below the cutoff. The run is evaluated
-    window by window, so memory stays bounded whatever ``cfg.n_symbols`` is.
+    including the zero-power ones below the cutoff. Every policy reads the
+    same draws, drawn once per window, and each result equals that of a
+    run of its policy alone. The run is evaluated window by window, so
+    memory stays bounded whatever ``cfg.n_symbols`` is.
     """
-    params = policy.params
-    _, w_hit = assumption_weights(policy.scheme, params.impulse_prob)
-    # Only a belief that is not one fixed state reads the fed-back state.
-    feedback = 0.0 < w_hit < 1.0
-    fixed_state = np.bool_(w_hit == 1.0)
-    lost = bursts_lost(params, policy.em)
-    blocks = outages = 0
-    rate_sum = rate_sq_sum = power_sum = 0.0
-    tallies = [0, 0, 0, 0]
-    for h, fed_back, actual in _draw_windows(params, cfg, feedback):
-        assumed = fed_back if feedback else fixed_state
-        # The window's fading array is its own: scale it in place into the
-        # SINR of the assumed state, H times that state's mean.
-        h *= np.where(assumed, params.mean_sinr_impulse, params.mean_sinr_clean)
-        rate, rate_sq, power, outage, counts = _window_sums(
-            policy, lost, feedback, h, assumed, actual)
+    rows = []
+    for policy in policies:
+        params = policy.params
+        _, w_hit = assumption_weights(policy.scheme, params.impulse_prob)
+        table = np.array([params.mean_sinr_clean, params.mean_sinr_impulse])
+        # Only a belief that is not one fixed state reads the fed-back state.
+        rows.append((policy, 0.0 < w_hit < 1.0, np.bool_(w_hit == 1.0), table,
+                     bursts_lost(params)))
+    ps = {policy.params.impulse_prob for policy in policies}
+    reads_feedback = any(feedback for _, feedback, *_ in rows)
+    blocks = 0
+    # Per row: rate, squared rate and power sums, outages, the tallies.
+    sums = [[0.0, 0.0, 0.0, 0, 0, 0, 0, 0] for _ in rows]
+    for h, states in _draw_windows(cfg, ps, reads_feedback):
         blocks += h.size
-        rate_sum += rate
-        rate_sq_sum += rate_sq
-        power_sum += power
-        outages += outage
-        tallies = [a + b for a, b in zip(tallies, counts)]
+        for (policy, feedback, fixed, table, lost), total in zip(rows, sums):
+            fed_back, hits = states[policy.params.impulse_prob]
+            # Each row scales the shared fading array into its own buffer:
+            # the SINR of the assumed state, H times that state's mean.
+            if feedback:
+                assumed, basis = fed_back, table.take(fed_back)
+                basis *= h
+            else:
+                assumed, basis = fixed, h * table[int(fixed)]
+            total[:] = map(operator.add, total, _window_sums(
+                policy, lost, feedback, cfg.batch, basis, assumed, hits))
+            del basis, assumed, fed_back, hits
+        # The next window is drawn with this one's arrays released.
+        del h, states
+    return [_result(blocks, cfg.batch, *total) for total in sums]
 
-    n = blocks * cfg.batch
+
+def _result(blocks: int, batch: int, rate_sum: float, rate_sq_sum: float,
+            power_sum: float, outages: int, *tallies: int) -> SimResult:
+    """One row's result from its sums over ``blocks`` blocks."""
+    n = blocks * batch
     avg_se = rate_sum / n
-    variance = max(rate_sq_sum / (n * cfg.batch) - avg_se ** 2, 0.0)
+    variance = max(rate_sq_sum / (n * batch) - avg_se ** 2, 0.0)
     return SimResult(
-        n_symbols=n,
-        avg_se=avg_se,
-        avg_se_stderr=math.sqrt(variance / blocks),
-        outage_frac=outages / n,
+        n_symbols=n, avg_se=avg_se,
+        avg_se_stderr=math.sqrt(variance / blocks), outage_frac=outages / n,
         mean_power_frac=power_sum / blocks,
-        counts=((tallies[0], tallies[1]), (tallies[2], tallies[3])),
-    )
+        counts=(tuple(tallies[:2]), tuple(tallies[2:])))

@@ -2,9 +2,11 @@
 
 Reference implementations: adaptive quadrature, the exponential-mixture
 density and its power budget, the physical SINR of a symbol, the M-QAM BER
-curve and the scalar water-filling power and rate. They give the closed
-forms and the simulator an independent route to compare against, and live
-here so that importing the package never loads ``scipy.integrate``.
+curve, the BER of a burst-hit symbol adapted as clean, the scalar
+water-filling power and rate, and the second moment of the water-filling
+power. They give the closed forms and the simulator an independent route
+to compare against, and live here so that importing the package never
+loads ``scipy.integrate``.
 
 Helpers: the closed-form rate of one (scheme, link) pair and the crossover
 burst probability, each a single package call, and a reader for the CLI's
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from impulsewf.adaptation import Scheme, crossover, make_policy, policy_law
+from impulsewf.adaptation import (Scheme, assumption_weights, crossover,
+                                  make_policy, policy_law)
 from impulsewf.cli import CSV_HEADER
 from impulsewf.numerics import ConvergenceError
 
@@ -101,6 +104,22 @@ def qam_ber(gamma: float, m: float, ber_coeff: float = 0.2) -> float:
     return min(ber_coeff * math.exp(-1.5 * gamma / (m - 1.0)), 1.0)
 
 
+def impulse_ber_under_conventional(em, inr_linear: float) -> float:
+    """BER of a burst-hit symbol whose power and rate assumed a clean SINR.
+
+    The water-filling terms cancel, leaving
+    ber_coeff * exp(-1.5 / (k_sinr * (1 + INR))), algebraically equal to
+    ber_coeff^(INR/(1+INR)) * target^(1/(1+INR)). Exceeds the target for
+    every INR > 0; equals it at INR = 0.
+    """
+    if inr_linear < 0.0:
+        raise ValueError(f"inr_linear must be >= 0, got {inr_linear}")
+    if inr_linear == 0.0:
+        return em.target_ber
+    log_ratio = math.log(em.target_ber / em.ber_coeff)
+    return em.ber_coeff * math.exp(log_ratio / (1.0 + inr_linear))
+
+
 def wf_power_fraction(gamma, policy, k):
     """Transmit power, as a fraction of the average budget, at full-power
     SINR ``gamma``, for a policy solved at budget constant ``k``.
@@ -122,6 +141,28 @@ def wf_rate_bits(gamma, policy):
     g = np.maximum(np.asarray(gamma, dtype=float), policy.threshold)
     out = np.log2(g / policy.threshold)
     return out.item() if out.ndim == 0 else out
+
+
+def power_sq(policy) -> float:
+    """E[P^2] of the water-filling power fraction P = (1/t - 1/g)+ / k of a
+    block, g = H times the mean SINR of the state the policy's belief
+    assumes, mixed over the belief's weights.
+
+    Each state's term is the integral of (1/z - 1/u)^2 exp(-u) over
+    [z, inf), z = t / mean, over mean^2, by quadrature.
+    """
+    t, params = policy.threshold, policy.params
+    weights = assumption_weights(policy.scheme, params.impulse_prob)
+    total = 0.0
+    for weight, mean in zip(weights, (params.mean_sinr_clean,
+                                      params.mean_sinr_impulse)):
+        if weight > 0.0:
+            z = t / mean
+            tail, _ = quad(lambda v: (1.0 / z - 1.0 / (z + v)) ** 2
+                           * math.exp(-v), 0.0, math.inf, epsabs=0.0,
+                           epsrel=1e-10, limit=200)
+            total += weight * math.exp(-z) * tail / mean ** 2
+    return total / policy.em.k_sinr ** 2
 
 
 def rate_for(scheme, params, em) -> float:

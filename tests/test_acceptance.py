@@ -14,16 +14,14 @@ import pytest
 from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf import simulate
-from impulsewf.adaptation import (
-    _impulse_ber_under_conventional as impulse_ber_under_conventional)
 from impulsewf.adaptation import ErrorModel, Scheme, cutoff_rows, make_policy
 from impulsewf.channel import ChannelParams
 from impulsewf.cli import cmd_simulate, cmd_theory, resolve_spec
-from impulsewf.simulate import SimConfig, simulate_policy
+from impulsewf.simulate import SimConfig, simulate_policies
 from oracles import (budget_rows, crossover_pth, density_at,
-                     integrate_semi_infinite, parse_csv, rate_aggressive,
-                     rate_conservative, rate_conventional, rate_for,
-                     wf_power_fraction)
+                     impulse_ber_under_conventional, integrate_semi_infinite,
+                     parse_csv, rate_aggressive, rate_conservative,
+                     rate_conventional, rate_for, wf_power_fraction)
 
 EM = ErrorModel(target_ber=1e-3)
 GRID = [i / 10 for i in range(11)]
@@ -54,7 +52,7 @@ def params_for(config, p):
 
 
 def run(params, scheme, cfg):
-    return simulate_policy(make_policy(scheme, params, EM), cfg)
+    return simulate_policies([make_policy(scheme, params, EM)], cfg)[0]
 
 
 def spec_for(config, **overrides):

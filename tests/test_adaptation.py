@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1 as exp_integral_e1
 
-from impulsewf.adaptation import (
-    _impulse_ber_under_conventional as impulse_ber_under_conventional)
 from impulsewf.adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
                                   assumption_weights, bursts_lost, crossover,
                                   cutoff_rows, make_policies, make_policy,
                                   policy_law)
 from impulsewf.channel import ChannelParams
 from impulsewf.numerics import solve_cutoffs
-from impulsewf.simulate import SimConfig, SimMode, simulate_policy
+from impulsewf.simulate import SimConfig, SimMode, simulate_policies
 from oracles import (budget_rows, crossover_pth, density_at,
-                     integrate_semi_infinite, qam_ber, rate_aggressive,
-                     rate_conservative, rate_conventional, rate_for,
-                     wf_power_fraction, wf_rate_bits)
+                     impulse_ber_under_conventional, integrate_semi_infinite,
+                     qam_ber, rate_aggressive, rate_conservative,
+                     rate_conventional, rate_for, wf_power_fraction,
+                     wf_rate_bits)
 
 EM = ErrorModel(target_ber=1e-3)
 
@@ -389,9 +388,10 @@ class TestCutoffProperties:
         assert policy_law(conv_1) == policy_law(conservative)
         for mode in SimMode:
             cfg = SimConfig(n_symbols=1001, seed=5, mode=mode, block_len=4)
-            assert simulate_policy(conv_0, cfg) == simulate_policy(aggressive, cfg)
-            assert simulate_policy(conv_1, cfg) == \
-                simulate_policy(conservative, cfg)
+            results = simulate_policies(
+                [conv_0, aggressive, conv_1, conservative], cfg)
+            assert results[0] == results[1]
+            assert results[2] == results[3]
 
     @PROPERTY_SETTINGS
     @given(snr_dbs, inr_dbs, st.lists(probs, min_size=1, max_size=21), targets)
@@ -506,7 +506,7 @@ class TestPolicyRates:
         assert len({policy.threshold for policy in aggressive}) == 1
         assert len({policy.threshold for policy in conservative}) == 1
         at_p0 = policy_law(aggressive[0])[0]
-        lost = bursts_lost(links[0], em)
+        lost = bursts_lost(links[0])
         for link, policy in zip(links, aggressive):
             p = link.impulse_prob
             assert policy_law(policy)[0] == ((1.0 - p) * at_p0 if lost
@@ -545,10 +545,29 @@ class TestZeroInterference:
     """INR = -inf: bursts carry no interference, so no symbol is lost."""
 
     def test_bursts_lost_only_with_interference(self):
-        assert not bursts_lost(ChannelParams(0.0, -math.inf, 0.5), EM)
-        assert not bursts_lost(ChannelParams(0.0, -120.0, 0.5), EM)
-        assert bursts_lost(ChannelParams(0.0, -90.0, 0.5), EM)
-        assert bursts_lost(ChannelParams(0.0, 0.0, 0.5), EM)
+        # Any interference puts a burst-hit symbol adapted as clean above
+        # the target BER, however faint; only INR = -inf leaves it there.
+        assert not bursts_lost(ChannelParams(0.0, -math.inf, 0.5))
+        assert bursts_lost(ChannelParams(0.0, -300.0, 0.5))
+        assert bursts_lost(ChannelParams(0.0, -120.0, 0.5))
+        assert bursts_lost(ChannelParams(0.0, -90.0, 0.5))
+        assert bursts_lost(ChannelParams(0.0, 0.0, 0.5))
+
+    @PROPERTY_SETTINGS
+    @given(snr_dbs, st.floats(min_value=-300.0, max_value=60.0),
+           st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+           targets)
+    def test_any_interference_costs_an_outage(self, snr_db, inr_db, p, pb):
+        # However faint a burst, it puts a symbol adapted as clean above
+        # the target, so both schemes that adapt on a clean belief lose
+        # some symbols. (Below about -3,240 dB the INR underflows to 0
+        # and reads as no interference.)
+        params = ChannelParams(snr_db=snr_db, inr_db=inr_db, impulse_prob=p)
+        conventional, aggressive = make_policies(
+            [(Scheme.CONVENTIONAL, params), (Scheme.AGGRESSIVE, params)],
+            ErrorModel(target_ber=pb))
+        assert policy_law(conventional)[1] > 0.0
+        assert policy_law(aggressive)[1] > 0.0
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -560,8 +579,9 @@ class TestZeroInterference:
         assert rate_for(scheme, params, EM) == pytest.approx(burst_free, rel=1e-12)
 
     def test_conventional_weights_without_losses(self):
-        # (1-p) E1(t/m_clean) + p E1(t/m_hit), the hit mean just below clean.
-        params = ChannelParams(snr_db=0.0, inr_db=-120.0, impulse_prob=0.4)
+        # (1-p) E1(t/m_clean) + p E1(t/m_hit): no burst is lost, and the
+        # hit mean equals the clean one.
+        params = ChannelParams(snr_db=0.0, inr_db=-math.inf, impulse_prob=0.4)
         t = make_policy(Scheme.CONVENTIONAL, params, EM).threshold
         expected = LOG2_E * (0.6 * exp_integral_e1(t / params.mean_sinr_clean)
                              + 0.4 * exp_integral_e1(t / params.mean_sinr_impulse))

@@ -65,6 +65,18 @@ class TestTheoryCommand:
             assert row.mean_power_sim is None
             assert row.seed is None
 
+    def test_bursts_lost_near_the_ber_underflow(self, capsys):
+        # At 0 dB INR a burst on a symbol adapted as clean puts it at a BER
+        # of about 1e-305, far above the 1e-310 target, so it is lost even
+        # though both BERs sit near the bottom of the float range.
+        code, out, _ = run(capsys, ["theory", "--ber-const", "1e-300",
+                                    "--pb", "1e-310", "--p-grid", "0.5"])
+        assert code == 0
+        rows = parse_csv(out)
+        assert column(rows, "conventional", "outage_theory")[0] > 0.0
+        assert column(rows, "aggressive", "outage_theory")[0] > 0.0
+        assert column(rows, "conservative", "outage_theory")[0] == 0.0
+
     def test_byte_identical_across_runs(self, capsys):
         _, first, _ = run(capsys, ["theory", "--snr-db", "10", "--mu-db", "20"])
         _, second, _ = run(capsys, ["theory", "--snr-db", "10", "--mu-db", "20"])

@@ -20,14 +20,9 @@ PACKAGE_NAMES = [
     "SimMode",
     "SimResult",
     "crossover",
-    "cutoff_rows",
-    "db_to_linear",
     "make_policies",
-    "make_policy",
     "policy_law",
-    "sample_fading",
-    "simulate_policy",
-    "solve_cutoffs",
+    "simulate_policies",
 ]
 
 
@@ -53,3 +48,20 @@ def test_package_names_come_from_module_lists():
 
 def test_simulate_is_the_module():
     assert importlib.import_module("impulsewf.simulate") is impulsewf.simulate
+
+
+def test_helpers_are_exported_by_their_modules_only():
+    # Names that only tests use from outside their module stay public
+    # there, but not at the package root.
+    for short, name in [("adaptation", "cutoff_rows"),
+                        ("adaptation", "make_policy"),
+                        ("channel", "db_to_linear"),
+                        ("channel", "sample_fading"),
+                        ("numerics", "solve_cutoffs")]:
+        assert name in importlib.import_module(f"impulsewf.{short}").__all__
+        assert name not in impulsewf.__all__
+
+
+def test_one_simulator_entry_point():
+    assert not hasattr(impulsewf.simulate, "simulate_policy")
+    assert len(impulsewf.__all__) == 12

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impulsewf import simulate
-from impulsewf.adaptation import (
-    _impulse_ber_under_conventional as impulse_ber_under_conventional)
 from impulsewf.adaptation import (ErrorModel, Scheme, make_policies,
                                   make_policy, policy_law)
 from impulsewf.channel import ChannelParams
+from impulsewf.cli import main
 from impulsewf.simulate import (SimConfig, SimMode, _draw_windows,
-                                simulate_policy)
-from oracles import qam_ber, rate_for, sinr_of, wf_power_fraction, wf_rate_bits
+                                simulate_policies)
+from oracles import (impulse_ber_under_conventional, power_sq, qam_ber,
+                     rate_for, sinr_of, wf_power_fraction, wf_rate_bits)
 
 EM = ErrorModel(target_ber=1e-3)
 SET_A = dict(snr_db=0.0, inr_db=0.0)
@@ -32,17 +33,34 @@ def three_sigma_binomial(q, n):
 
 
 def run(params, scheme, cfg):
-    return simulate_policy(make_policy(scheme, params, EM), cfg)
+    return simulate_policies([make_policy(scheme, params, EM)], cfg)[0]
 
 
 def draw(params, cfg):
+    """(fading power, governing state, hit symbols) of each block of the
+    whole run, as the simulator draws them."""
+    p = params.impulse_prob
+    windows = [(h, *masks[p]) for h, masks in _draw_windows(cfg, [p], True)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*windows))
+
+
+def stream_states(params, cfg):
     """(fading power, governing state, actual state) of each symbol of the
-    whole run: a block's fading and governing state repeated over its
-    symbols, the (symbols, blocks) actual states back in stream order."""
-    h, governing, actual = (np.concatenate(arrays, axis=-1)
-                            for arrays in zip(*_draw_windows(params, cfg)))
-    return (np.repeat(h, cfg.batch), np.repeat(governing, cfg.batch),
-            actual.T.reshape(-1))
+    whole run, read straight from the PCG64 stream by the documented
+    layout: B fading uniforms, then per symbol B fed-back and B actual
+    states, in block mode the row-major (B, L) states, whose first column
+    is the fed-back one. A block's fading and governing state are repeated
+    over its symbols."""
+    p, batch = params.impulse_prob, cfg.batch
+    blocks = -(-cfg.n_symbols // batch)
+    u = np.random.Generator(np.random.PCG64(cfg.seed)).random(
+        blocks * (2 + batch if cfg.mode is SimMode.PER_SYMBOL else 1 + batch))
+    h = -np.log1p(-u[:blocks])
+    if cfg.mode is SimMode.PER_SYMBOL:
+        return h, u[blocks:2 * blocks] < p, u[2 * blocks:] < p
+    states = u[blocks:].reshape(blocks, batch) < p
+    return (np.repeat(h, batch), np.repeat(states[:, 0], batch),
+            states.reshape(-1))
 
 
 # The burst state aggressive and conservative adapt every symbol on.
@@ -112,9 +130,11 @@ PROPERTY_SYMBOLS = 20_011
 # Absolute floors, in bits per symbol and in whole blocks. A run in which
 # only a few blocks transmit (low SNR, a conservative belief under strong
 # bursts) estimates its standard error from those few, and an outage of a
-# few events is not normal: there 5 sigma alone fails correct code.
+# few events is not normal: there 5 sigma alone fails correct code. The
+# power floor counts blocks at the most a block can spend, 1 / (t * k).
 RATE_FLOOR = 0.005
 OUTAGE_FLOOR_BLOCKS = 3
+POWER_FLOOR_BLOCKS = 3
 
 
 class TestAgainstTheoryProperty:
@@ -123,7 +143,9 @@ class TestAgainstTheoryProperty:
     block lengths 1 to 16, each scheme at ``policy_law``'s
     ``cfg.mismatch``. The rate lies within max(RATE_FLOOR, 5 standard
     errors), the outage within 5 block-level binomial sigmas plus
-    OUTAGE_FLOOR_BLOCKS blocks.
+    OUTAGE_FLOOR_BLOCKS blocks, and the mean power fraction within 5
+    standard errors of 1, the budget every cutoff spends, plus
+    POWER_FLOOR_BLOCKS blocks at full spend.
 
     False-alarm budget: 200 examples make 1,200 checks. Where the normal
     approximation holds a check of correct code fails with probability
@@ -134,6 +156,14 @@ class TestAgainstTheoryProperty:
     SNR), about 0.3% for a set of this size. Reruns of that link over 40
     seeds showed no bias (mean z -0.08). The examples are derandomized,
     so the set is fixed.
+
+    The power check's budget, measured the same way: without its floor, 8
+    of 45,000 random checks failed (up to 8.5 sigma), where a handful of
+    blocks carry the variance, either because almost no block transmits
+    (conservative at -18 to 6 dB SNR under 33 to 58 dB INR) or because the
+    spend deficit 1 / (k g) has a heavy tail just above a tiny cutoff (55
+    to 60 dB SNR). With the floor none of 120,000 random checks failed,
+    the worst at 0.81 of its bound.
     """
 
     @settings(max_examples=200, deadline=None, derandomize=True,
@@ -151,15 +181,21 @@ class TestAgainstTheoryProperty:
         em = ErrorModel(target_ber=10.0 ** log_pb)
         cfg = SimConfig(n_symbols=PROPERTY_SYMBOLS, seed=seed, mode=mode,
                         block_len=block_len)
-        for policy in make_policies([(s, params) for s in Scheme], em):
+        policies = make_policies([(s, params) for s in Scheme], em)
+        for policy, result in zip(policies, simulate_policies(policies, cfg)):
             rate, outage = policy_law(policy, cfg.mismatch)
-            result = simulate_policy(policy, cfg)
             blocks = result.n_symbols // cfg.batch
             assert abs(result.avg_se - rate) <= \
                 max(RATE_FLOOR, 5.0 * result.avg_se_stderr)
             sigma = math.sqrt(outage * (1.0 - outage) / blocks)
             assert abs(result.outage_frac - outage) <= \
                 5.0 * sigma + OUTAGE_FLOOR_BLOCKS / blocks
+            # Each block spends the budget on average, so the mean power
+            # fraction is 1 within the standard error of a block's spend.
+            power_sigma = math.sqrt(max(power_sq(policy) - 1.0, 0.0) / blocks)
+            full_spend = 1.0 / (policy.threshold * em.k_sinr)
+            assert abs(result.mean_power_frac - 1.0) <= \
+                5.0 * power_sigma + POWER_FLOOR_BLOCKS * full_spend / blocks
 
 
 class TestOutageLaws:
@@ -208,7 +244,7 @@ class TestPerSymbolBerEquivalence:
     def test_accounting_matches_qam_ber(self, scheme, config):
         params = params_for(config, 0.4)
         cfg = SimConfig(n_symbols=2000, seed=99)
-        h, governing, actual = draw(params, cfg)
+        h, governing, actual = stream_states(params, cfg)
         policy = make_policy(scheme, params, EM)
         assumed = assumed_states(scheme, governing)
         basis = sinr_of(params, h, assumed, 1.0)
@@ -247,7 +283,7 @@ class TestPerSymbolBerEquivalence:
         # Power follows the SINR the governing state implies, not H.
         params = params_for(SET_A, 0.5)
         cfg = SimConfig(n_symbols=20_000, seed=8)
-        h, governing, _ = draw(params, cfg)
+        h, governing, _ = stream_states(params, cfg)
         policy = make_policy(Scheme.CONVENTIONAL, params, EM)
         power = wf_power_fraction(sinr_of(params, h, governing, 1.0), policy,
                                   EM.k_sinr)
@@ -322,16 +358,38 @@ class TestWindows:
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_fixed_beliefs_leave_governing_states_unread(self, mode):
         # Aggressive and conservative never read the governing states; the
-        # fading and actual states come from the same draws regardless.
-        params = params_for(SET_A, 0.4)
+        # fading and actual states come from the same draws regardless. In
+        # block mode the governing state is the first actual state, so it
+        # costs no draw.
         cfg = SimConfig(n_symbols=1000, seed=23, mode=mode, block_len=4)
-        full = list(_draw_windows(params, cfg))
-        bare = list(_draw_windows(params, cfg, governing=False))
+        full = list(_draw_windows(cfg, [0.4], True))
+        bare = list(_draw_windows(cfg, [0.4], False))
         assert len(bare) == len(full)
-        for (h, _, actual), (bare_h, governing, bare_actual) in zip(full, bare):
-            assert governing is None
+        for (h, states), (bare_h, bare_states) in zip(full, bare):
+            (governing, hits), (bare_governing, bare_hits) = \
+                states[0.4], bare_states[0.4]
+            if mode is SimMode.PER_SYMBOL:
+                assert bare_governing is None
+            else:
+                assert np.array_equal(bare_governing, governing)
             assert np.array_equal(bare_h, h)
-            assert np.array_equal(bare_actual, actual)
+            assert np.array_equal(bare_hits, hits)
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_each_p_reads_the_same_uniforms(self, monkeypatch, mode):
+        # A sweep compares one set of uniforms with each p: every p's
+        # states equal those of a draw for that p alone.
+        cfg = SimConfig(n_symbols=1000, seed=24, mode=mode, block_len=4)
+        monkeypatch.setattr(simulate, "WINDOW", 96)
+        ps = [0.0, 0.2, 0.6, 1.0]
+        swept = list(_draw_windows(cfg, ps, True))
+        for p in ps:
+            alone = list(_draw_windows(cfg, [p], True))
+            assert len(alone) == len(swept)
+            for (h, states), (h_alone, states_alone) in zip(swept, alone):
+                assert np.array_equal(h, h_alone)
+                for state, state_alone in zip(states[p], states_alone[p]):
+                    assert np.array_equal(state, state_alone)
 
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_stream_layout(self, monkeypatch, mode):
@@ -339,18 +397,24 @@ class TestWindows:
         p = 0.4
         cfg = SimConfig(n_symbols=1000, seed=23, mode=mode, block_len=4)
         monkeypatch.setattr(simulate, "WINDOW", 96)
-        h, governing, actual = draw(params_for(SET_A, p), cfg)
+        params = params_for(SET_A, p)
+        h, governing, hits = draw(params, cfg)
         if mode is SimMode.PER_SYMBOL:
             u = np.random.Generator(np.random.PCG64(23)).random(3000)
             assert np.array_equal(h, -np.log1p(-u[:1000]))
             assert np.array_equal(governing, u[1000:2000] < p)
-            assert np.array_equal(actual, u[2000:] < p)
+            assert np.array_equal(hits, u[2000:] < p)
         else:
             u = np.random.Generator(np.random.PCG64(23)).random(250 + 1000)
             mask = u[250:].reshape(250, 4) < p
-            assert np.array_equal(h, np.repeat(-np.log1p(-u[:250]), 4))
-            assert np.array_equal(governing, np.repeat(mask[:, 0], 4))
-            assert np.array_equal(actual, mask.reshape(-1))
+            assert np.array_equal(h, -np.log1p(-u[:250]))
+            assert np.array_equal(governing, mask[:, 0])
+            assert np.array_equal(hits, mask.sum(axis=1))
+        # The tests' own reader of the stream sees the same states.
+        ref_h, ref_governing, actual = stream_states(params, cfg)
+        assert np.array_equal(ref_h, np.repeat(h, cfg.batch))
+        assert np.array_equal(ref_governing, np.repeat(governing, cfg.batch))
+        assert np.array_equal(actual.reshape(-1, cfg.batch).sum(axis=1), hits)
 
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_peak_memory_flat_in_run_length(self, mode):
@@ -360,12 +424,83 @@ class TestWindows:
         def peak(n_symbols):
             tracemalloc.start()
             try:
-                simulate_policy(policy, SimConfig(
+                simulate_policies([policy], SimConfig(
                     n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak(4 * simulate.WINDOW) <= 1.25 * peak(simulate.WINDOW)
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_sweep_peak_memory_flat_in_run_length(self, mode):
+        # The default sweep: 11 p values, three schemes, one draw per window.
+        # Each window's arrays are released before the next is drawn, so
+        # four windows peak where one does (a window's arrays kept alive
+        # over the next draw put the peak 10-40% higher).
+        policies = make_policies(
+            [(scheme, params_for(SET_A, i / 10)) for i in range(11)
+             for scheme in Scheme], EM)
+
+        def peak(n_symbols):
+            tracemalloc.start()
+            try:
+                simulate_policies(policies, SimConfig(
+                    n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(4 * simulate.WINDOW) <= 1.05 * peak(simulate.WINDOW)
+
+
+class TestSharedDraw:
+    """A sweep draws each window once for all of its rows (common random
+    numbers), and each row measures exactly what it measures alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.sampled_from([0.0, 1e-4, 0.1, 0.3, 0.5, 0.9, 1.0])
+                    | st.floats(min_value=0.0, max_value=1.0),
+                    min_size=1, max_size=11),
+           st.sampled_from([(0.0, 0.0), (10.0, 20.0), (0.0, -math.inf),
+                            (-10.0, -120.0)]),
+           st.sampled_from(SimMode), st.integers(min_value=1, max_value=16),
+           st.integers(min_value=16, max_value=256),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_every_row_equals_its_run_alone(self, grid, link, mode, block_len,
+                                            window, windows, seed):
+        # Duplicate p values give duplicate policies, and one more copy of
+        # the first row is appended. The run spans ``windows`` windows
+        # plus a partial one, so the sums cross window boundaries.
+        snr_db, inr_db = link
+        requests = [(scheme, ChannelParams(snr_db, inr_db, p))
+                    for p in grid for scheme in Scheme]
+        policies = make_policies(requests + requests[:1], EM)
+        cfg = SimConfig(n_symbols=windows * window + block_len, seed=seed,
+                        mode=mode, block_len=block_len)
+        with mock.patch.object(simulate, "WINDOW", window):
+            swept = simulate_policies(policies, cfg)
+            assert len(swept) == len(policies)
+            for policy, result in zip(policies, swept):
+                assert result == simulate_policies([policy], cfg)[0]
+
+    @pytest.mark.parametrize("window,calls", [(None, 1), (2 ** 15, 4)])
+    def test_default_sweep_samples_fading_once_per_window(
+            self, monkeypatch, capsys, window, calls):
+        # 33 rows of 100,000 symbols: one window, or four of 2^15 symbols.
+        sizes = []
+        original = simulate.sample_fading
+
+        def counted(rng, n):
+            sizes.append(n)
+            return original(rng, n)
+        monkeypatch.setattr(simulate, "sample_fading", counted)
+        if window is not None:
+            monkeypatch.setattr(simulate, "WINDOW", window)
+        assert main(["simulate"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 33
+        assert len(sizes) == calls
+        assert sum(sizes) == 100_000
 
 
 class TestBlockStates:
@@ -379,13 +514,13 @@ class TestBlockStates:
 
     @pytest.mark.parametrize("p,state", [(0.0, False), (1.0, True)])
     def test_masks_at_degenerate_p(self, p, state):
-        _, governing, actual = draw(params_for(SET_A, p), self.block_cfg())
+        _, governing, hits = draw(params_for(SET_A, p), self.block_cfg())
         assert np.all(governing == state)
-        assert np.all(actual == state)
+        assert np.all(hits == state * self.L)
 
     def test_shape_and_positivity(self):
-        h, governing, actual = draw(params_for(SET_A, 0.5), self.block_cfg(1001))
-        assert h.shape == governing.shape == actual.shape == (1004,)
+        h, governing, hits = draw(params_for(SET_A, 0.5), self.block_cfg(1001))
+        assert h.shape == governing.shape == hits.shape == (251,)
         assert np.all(h > 0.0)
 
     def test_rejects_empty_block(self):
@@ -393,24 +528,29 @@ class TestBlockStates:
             SimConfig(mode=SimMode.BLOCK, block_len=0)
 
     def test_fading_constant_within_block(self):
-        h, _, _ = draw(params_for(SET_A, 0.5), self.block_cfg())
-        blocks = h.reshape(-1, self.L)
-        assert np.all(blocks == blocks[:, :1])
+        # One fading draw per block, which all of its symbols see.
+        params = params_for(SET_A, 0.5)
+        h, _, _ = draw(params, self.block_cfg())
+        symbol_h, _, _ = stream_states(params, self.block_cfg())
+        blocks = symbol_h.reshape(-1, self.L)
+        assert np.all(blocks == h[:, None])
 
     def test_governing_state_is_first_actual_state(self):
-        _, governing, actual = draw(params_for(SET_A, 0.5), self.block_cfg())
-        governing = governing.reshape(-1, self.L)
+        params = params_for(SET_A, 0.5)
+        _, governing, hits = draw(params, self.block_cfg())
+        _, _, actual = stream_states(params, self.block_cfg())
         actual = actual.reshape(-1, self.L)
-        assert np.all(governing == actual[:, :1])
+        assert np.all(governing == actual[:, 0])
+        assert np.all(hits == actual.sum(axis=1))
         # The other symbols draw their own states.
-        assert np.any(actual[:, 1:] != actual[:, :1])
+        assert np.any(hits != governing * self.L)
 
     def test_seeded_statistics_of_blocks(self):
         # 1e5 blocks: per-block fading mean and burst rate near their targets.
         cfg = self.block_cfg(n_symbols=100_000 * self.L, seed=20260808)
-        h, _, actual = draw(params_for(SET_A, 0.5), cfg)
-        assert 0.99 <= h[::self.L].mean() <= 1.01
-        assert 0.495 <= actual.mean() <= 0.505
+        h, _, hits = draw(params_for(SET_A, 0.5), cfg)
+        assert 0.99 <= h.mean() <= 1.01
+        assert 0.495 <= hits.sum() / (hits.size * self.L) <= 0.505
 
     def test_block_states_are_deterministic(self):
         params = params_for(SET_A, 0.5)
@@ -453,7 +593,7 @@ class TestBlockMode:
         params = params_for(SET_A, 0.5)
         cfg = SimConfig(n_symbols=8000, seed=3, mode=SimMode.BLOCK, block_len=8)
         monkeypatch.setattr(simulate, "WINDOW", 1000)
-        h, governing, actual = draw(params, cfg)
+        h, governing, actual = stream_states(params, cfg)
         policy = make_policy(scheme, params, EM)
         assumed = assumed_states(scheme, governing)
         rate = wf_rate_bits(sinr_of(params, h, assumed, 1.0), policy)
@@ -469,7 +609,7 @@ class TestBlockMode:
         # Per symbol a block is one symbol, whatever block_len says.
         params = params_for(SET_A, 0.5)
         cfg = SimConfig(n_symbols=8000, seed=3, block_len=8)
-        h, _, actual = draw(params, cfg)
+        h, _, actual = stream_states(params, cfg)
         policy = make_policy(Scheme.AGGRESSIVE, params, EM)
         rate = wf_rate_bits(sinr_of(params, h, False, 1.0), policy)
         rate[actual] = 0.0
