@@ -46,7 +46,6 @@ __all__ = [
     "assumption_weights",
     "cutoff_rows",
     "make_policies",
-    "make_policy",
     "policy_law",
     "bursts_lost",
     "crossover",
@@ -143,7 +142,7 @@ def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
     Each distinct row is solved once: a fixed belief's row is the same at
     every p, and conventional's rows at p = 0 and p = 1 are aggressive's
     and conservative's. Rows are solved independently of each other, so
-    the result for a pair equals ``make_policy`` on that pair alone.
+    the result for a pair equals that of a call on that pair alone.
     """
     keys = [(assumption_weights(scheme, link.impulse_prob), link.snr_db,
              link.inr_db) for scheme, link in requests]
@@ -153,11 +152,6 @@ def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
         weights, means, np.full(len(distinct), em.k_sinr)).tolist()))
     return [Policy(scheme, link, em, solved[key])
             for (scheme, link), key in zip(requests, keys)]
-
-
-def make_policy(scheme: Scheme, params: ChannelParams, em: ErrorModel) -> Policy:
-    """Solve the cutoff for ``scheme`` on this link."""
-    return make_policies([(scheme, params)], em)[0]
 
 
 def policy_law(policy: Policy, mismatch: float = 1.0) -> tuple[float, float]:

@@ -32,15 +32,11 @@ Z_FLOOR = 0.62
 class ConvergenceError(RuntimeError):
     """An iterative routine ran out of iterations or accuracy budget."""
 
-    def __init__(self, message: str, iterations: int | None = None,
-                 error_estimate: float | None = None):
+    def __init__(self, message: str, iterations: int | None = None):
         if iterations is not None:
             message += f" (after {iterations} iterations)"
-        if error_estimate is not None:
-            message += f" (achieved error estimate {error_estimate:.3e})"
         super().__init__(message)
         self.iterations = iterations
-        self.error_estimate = error_estimate
 
 
 def _scaled_budget_and_tail(t, weights, means):

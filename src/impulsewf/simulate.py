@@ -41,15 +41,16 @@ mode draws the row-major (B, L) burst mask at [B, B + B*L), whose first
 column is the fed-back state. The stream depends on the config alone, so
 every row of a sweep reads it (common random numbers):
 :func:`simulate_policies` draws each window once and compares its burst
-uniforms with each distinct p once. A window holds
-``max(1, WINDOW // L)`` blocks, read forward from generators positioned
-with ``PCG64.advance``; only each row's counts and float sums cross
-windows, in window order, so a policy measures the same in a sweep as
-alone. Peak memory is O(max(WINDOW, block_len)) symbols for the draws
-plus each block's fed-back state and hit count per distinct p, whatever
-``n_symbols`` is (``SimConfig`` keeps ``block_len <= n_symbols`` in block
-mode). The window size changes no draw: counts and outage are exact, and
-the float sums move only by their summation order (last digits).
+uniforms with each distinct p once. Rows that agree on all the
+adaptation reads (cutoff, error model, belief, link) adapt once per
+window; each row is scored on its own hit counts in its group's one
+scratch buffer. A window holds ``max(1, WINDOW // L)`` blocks, read from
+generators positioned with ``PCG64.advance``; only each row's counts and
+float sums cross windows, in window order, so a row measures the same in
+a sweep as alone. Peak memory is O(max(WINDOW, block_len)) symbols plus
+each block's fed-back state and hit count per distinct p, whatever
+``n_symbols`` is. The window size changes no draw: counts and outage are
+exact, and the float sums move only by their summation order.
 """
 
 from __future__ import annotations
@@ -65,12 +66,7 @@ import numpy as np
 from .adaptation import Policy, assumption_weights, bursts_lost
 from .channel import sample_fading
 
-__all__ = [
-    "SimMode",
-    "SimConfig",
-    "SimResult",
-    "simulate_policies",
-]
+__all__ = ["SimMode", "SimConfig", "SimResult", "simulate_policies"]
 
 # Symbols evaluated at once; bounds the simulator's memory.
 WINDOW = 2 ** 20
@@ -182,22 +178,26 @@ def _draw_windows(cfg: SimConfig, ps: Collection[float], feedback: bool
         del h, hits, fed_back
 
 
-def _window_sums(policy: Policy, lost: bool, parked: bool, batch: int,
-                 basis: np.ndarray, assumed, hits: np.ndarray) -> tuple:
-    """Credited rate, its square per block, and power summed over the
-    blocks of one window, the outage count and the four (assumed, actual)
-    symbol tallies, row-major.
+def _adapt(policy: Policy, h: np.ndarray, states: dict) -> tuple:
+    """Adapt one window (``h`` and ``states`` of :func:`_draw_windows`)
+    for ``policy``'s group: the power summed over the blocks, each block's
+    rate and whether a burst on it is lost, a scratch buffer, and the
+    burst state priced (fed-back states, or a numpy bool if fixed).
 
-    ``basis`` is the full-power SINR each block is adapted on, a buffer the
-    kernel works in, ``assumed`` the burst state it was priced with (a bool
-    array of fed-back states, or one numpy bool for a fixed belief) and
-    ``hits`` how many of its ``batch`` symbols a burst hits. A block is
-    credited its rate once per symbol that is not lost.
-
-    Water-filling at cutoff t and budget constant k = ``em.k_sinr`` spends
-    the power fraction (1/t - 1/g) / k and carries log2(g / t) bits,
-    g = max(basis, t), so both are exactly 0 at and below the cutoff.
-    """
+    At cutoff t and budget constant k = ``em.k_sinr`` water-filling on
+    g = max(H times the assumed state's mean SINR, t) spends the power
+    (1/t - 1/g) / k and carries log2(g / t) bits, both 0 up to the cutoff."""
+    params = policy.params
+    _, w_hit = assumption_weights(policy.scheme, params.impulse_prob)
+    table = np.array([params.mean_sinr_clean, params.mean_sinr_impulse])
+    parked = 0.0 < w_hit < 1.0
+    if parked:
+        assumed = states[params.impulse_prob][0]
+        basis = table.take(assumed)
+        basis *= h
+    else:
+        assumed = np.bool_(w_hit == 1.0)
+        basis = h * table[int(assumed)]
     t, k = policy.threshold, policy.em.k_sinr
     g = np.maximum(basis, t, out=basis)
     power = np.divide(1.0, g)
@@ -205,82 +205,92 @@ def _window_sums(policy: Policy, lost: bool, parked: bool, batch: int,
     power /= k
     g /= t
     rate = np.log2(g, out=g)
-
-    assumed_blocks = np.broadcast_to(assumed, hits.shape)
-    hit_symbols = int(np.add.reduce(hits, dtype=np.int64))
-    assumed_hits = batch * np.count_nonzero(assumed_blocks)
-    both = int(np.add.reduce(hits * assumed_blocks, dtype=np.int64))
-
     # Realised BER of a transmitted symbol is the target unless a burst
-    # hits a symbol adapted as clean (see bursts_lost); ``parked`` counts
-    # such a burst as outage below the cutoff too. Every hit symbol of an
-    # exposed block is lost.
+    # hits a symbol adapted as clean (see bursts_lost); under a belief
+    # read from feedback such a burst is outage below the cutoff too.
     exposed = power > 0.0
     exposed |= parked
     exposed &= ~assumed
-    exposed &= lost
-    outage = np.multiply(hits, exposed)
-    outages = int(np.add.reduce(outage, dtype=np.int64))
-    power_sum = float(power.sum())
-    # The power array is summed; its buffer now takes each block's
-    # credited rate, its rate once per symbol not lost, and the rate
-    # buffer their squares.
-    kept = np.subtract(batch, outage, out=outage)
-    credited = np.multiply(rate, kept, out=power)
-    rate_sq = np.square(credited, out=rate)
-    return (float(credited.sum()), float(rate_sq.sum()), power_sum, outages,
-            batch * hits.size - assumed_hits - hit_symbols + both,
-            hit_symbols - both, assumed_hits - both, both)
+    exposed &= bursts_lost(params)
+    # The power array is summed; its buffer is the group's scratch.
+    return float(power.sum()), rate, exposed, power, assumed
+
+
+def _score(batch: int, rate: np.ndarray, exposed, scratch: np.ndarray,
+           hits) -> tuple:
+    """Credited rate, its square and the outage count of one row in its
+    group's adapted window: every hit symbol of an exposed block is lost
+    (with ``exposed`` None no block is, and ``hits`` is unread)."""
+    kept, outages = batch, 0
+    if exposed is not None:
+        outage = np.multiply(hits, exposed)
+        outages = int(np.add.reduce(outage, dtype=np.int64))
+        kept = np.subtract(batch, outage, out=outage)
+    credited = np.multiply(rate, kept, out=scratch)
+    rate_sum = float(credited.sum())
+    return rate_sum, float(np.square(credited, out=scratch).sum()), outages
+
+
+def _tallies(batch: int, assumed, hits: np.ndarray) -> tuple:
+    """The four (assumed, actual) symbol tallies of one window, row-major.
+    A fixed belief's follow from the window's hit count alone."""
+    hit_symbols = int(np.add.reduce(hits, dtype=np.int64))
+    symbols = batch * hits.size
+    if assumed.ndim == 0:
+        assumed_hits, both = (symbols, hit_symbols) if assumed else (0, 0)
+    else:
+        assumed_hits = batch * np.count_nonzero(assumed)
+        both = int(np.add.reduce(hits * assumed, dtype=np.int64))
+    return (symbols - assumed_hits - hit_symbols + both, hit_symbols - both,
+            assumed_hits - both, both)
 
 
 def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
                       ) -> list[SimResult]:
     """Run one deterministic Monte Carlo stream and measure each solved
-    policy on its link, one result per policy in order.
-
-    Per block: adapt power and rate on the SINR of the assumed burst
-    state, score each symbol against its actual burst state. ``avg_se``
-    averages the rate of transmitted, non-outage symbols over all symbols;
-    ``mean_power_frac`` averages the spent power fraction over all blocks
-    including the zero-power ones below the cutoff. Every policy reads the
-    same draws, drawn once per window, and each result equals that of a
-    run of its policy alone. The run is evaluated window by window, so
-    memory stays bounded whatever ``cfg.n_symbols`` is.
+    policy on its link, one result per policy in order: ``avg_se``
+    averages the rate of transmitted, non-outage symbols over all symbols,
+    ``mean_power_frac`` the spent power fraction over all blocks including
+    the zero-power ones below the cutoff. Every policy reads the same
+    draws, and each result equals that of a run of its policy alone.
     """
-    rows = []
-    for policy in policies:
+    # Rows that agree on all the adaptation reads adapt as one group: a
+    # fixed belief at every p, and conventional at p = 0 and 1 with them.
+    groups: dict[tuple, list[int]] = {}
+    for row, policy in enumerate(policies):
         params = policy.params
-        _, w_hit = assumption_weights(policy.scheme, params.impulse_prob)
-        table = np.array([params.mean_sinr_clean, params.mean_sinr_impulse])
-        # Only a belief that is not one fixed state reads the fed-back state.
-        rows.append((policy, 0.0 < w_hit < 1.0, np.bool_(w_hit == 1.0), table,
-                     bursts_lost(params)))
+        weights = assumption_weights(policy.scheme, params.impulse_prob)
+        groups.setdefault((policy.threshold, policy.em, weights,
+                           params.mean_sinr_clean, params.mean_sinr_impulse,
+                           bursts_lost(params)), []).append(row)
     ps = {policy.params.impulse_prob for policy in policies}
-    reads_feedback = any(feedback for _, feedback, *_ in rows)
+    # Only a belief that is not one fixed state reads the fed-back state.
+    reads_feedback = any(0.0 < key[2][1] < 1.0 for key in groups)
     blocks = 0
-    # Per row: rate, squared rate and power sums, outages, the tallies.
-    sums = [[0.0, 0.0, 0.0, 0, 0, 0, 0, 0] for _ in rows]
+    # Per row: power, rate and squared rate sums, outages, the tallies.
+    sums = [[0.0, 0.0, 0.0, 0, 0, 0, 0, 0] for _ in policies]
     for h, states in _draw_windows(cfg, ps, reads_feedback):
         blocks += h.size
-        for (policy, feedback, fixed, table, lost), total in zip(rows, sums):
-            fed_back, hits = states[policy.params.impulse_prob]
-            # Each row scales the shared fading array into its own buffer:
-            # the SINR of the assumed state, H times that state's mean.
-            if feedback:
-                assumed, basis = fed_back, table.take(fed_back)
-                basis *= h
-            else:
-                assumed, basis = fixed, h * table[int(fixed)]
-            total[:] = map(operator.add, total, _window_sums(
-                policy, lost, feedback, cfg.batch, basis, assumed, hits))
-            del basis, assumed, fed_back, hits
+        for rows in groups.values():
+            power_sum, rate, exposed, scratch, assumed = _adapt(
+                policies[rows[0]], h, states)
+            # With no block exposed, every row keeps all of its symbols.
+            shared = None if exposed.any() else _score(
+                cfg.batch, rate, None, scratch, None)
+            for row in rows:
+                hits = states[policies[row].params.impulse_prob][1]
+                scored = shared or _score(cfg.batch, rate, exposed, scratch,
+                                          hits)
+                sums[row][:] = map(operator.add, sums[row], (
+                    power_sum, *scored, *_tallies(cfg.batch, assumed, hits)))
+            del rate, exposed, scratch, assumed, hits
         # The next window is drawn with this one's arrays released.
         del h, states
     return [_result(blocks, cfg.batch, *total) for total in sums]
 
 
-def _result(blocks: int, batch: int, rate_sum: float, rate_sq_sum: float,
-            power_sum: float, outages: int, *tallies: int) -> SimResult:
+def _result(blocks: int, batch: int, power_sum: float, rate_sum: float,
+            rate_sq_sum: float, outages: int, *tallies: int) -> SimResult:
     """One row's result from its sums over ``blocks`` blocks."""
     n = blocks * batch
     avg_se = rate_sum / n

@@ -8,9 +8,9 @@ power. They give the closed forms and the simulator an independent route
 to compare against, and live here so that importing the package never
 loads ``scipy.integrate``.
 
-Helpers: the closed-form rate of one (scheme, link) pair and the crossover
-burst probability, each a single package call, and a reader for the CLI's
-CSV output.
+Helpers: the policy and the closed-form rate of one (scheme, link) pair
+and the crossover burst probability, each a single package call, and a
+reader for the CLI's CSV output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 from impulsewf.adaptation import (Scheme, assumption_weights, crossover,
-                                  make_policy, policy_law)
+                                  make_policies, policy_law)
 from impulsewf.cli import CSV_HEADER
 from impulsewf.numerics import ConvergenceError
 
@@ -42,8 +42,8 @@ def integrate_semi_infinite(f: Callable[[float], float], lower: float,
                limit=400, full_output=1)
     value, abserr = out[0], out[1]
     if abserr > max(1e-9 * abs(value), 1e-12):
-        raise ConvergenceError("semi-infinite quadrature did not converge",
-                               error_estimate=abserr)
+        raise ConvergenceError(f"semi-infinite quadrature did not converge "
+                               f"(error estimate {abserr:.3e})")
     return value
 
 
@@ -163,6 +163,11 @@ def power_sq(policy) -> float:
                            epsrel=1e-10, limit=200)
             total += weight * math.exp(-z) * tail / mean ** 2
     return total / policy.em.k_sinr ** 2
+
+
+def make_policy(scheme, params, em):
+    """The policy of one (scheme, link) pair: a one-row ``make_policies``."""
+    return make_policies([(scheme, params)], em)[0]
 
 
 def rate_for(scheme, params, em) -> float:

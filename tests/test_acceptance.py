@@ -14,13 +14,13 @@ import pytest
 from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf import simulate
-from impulsewf.adaptation import ErrorModel, Scheme, cutoff_rows, make_policy
+from impulsewf.adaptation import ErrorModel, Scheme, cutoff_rows
 from impulsewf.channel import ChannelParams
 from impulsewf.cli import cmd_simulate, cmd_theory, resolve_spec
 from impulsewf.simulate import SimConfig, simulate_policies
 from oracles import (budget_rows, crossover_pth, density_at,
                      impulse_ber_under_conventional, integrate_semi_infinite,
-                     parse_csv, rate_aggressive, rate_conservative,
+                     make_policy, parse_csv, rate_aggressive, rate_conservative,
                      rate_conventional, rate_for, wf_power_fraction)
 
 EM = ErrorModel(target_ber=1e-3)

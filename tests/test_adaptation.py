@@ -11,14 +11,13 @@ from scipy.special import exp1 as exp_integral_e1
 
 from impulsewf.adaptation import (LOG2_E, ErrorModel, Policy, Scheme,
                                   assumption_weights, bursts_lost, crossover,
-                                  cutoff_rows, make_policies, make_policy,
-                                  policy_law)
+                                  cutoff_rows, make_policies, policy_law)
 from impulsewf.channel import ChannelParams
 from impulsewf.numerics import solve_cutoffs
 from impulsewf.simulate import SimConfig, SimMode, simulate_policies
 from oracles import (budget_rows, crossover_pth, density_at,
                      impulse_ber_under_conventional, integrate_semi_infinite,
-                     qam_ber, rate_aggressive, rate_conservative,
+                     make_policy, qam_ber, rate_aggressive, rate_conservative,
                      rate_conventional, rate_for, wf_power_fraction,
                      wf_rate_bits)
 

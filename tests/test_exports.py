@@ -54,12 +54,17 @@ def test_helpers_are_exported_by_their_modules_only():
     # Names that only tests use from outside their module stay public
     # there, but not at the package root.
     for short, name in [("adaptation", "cutoff_rows"),
-                        ("adaptation", "make_policy"),
                         ("channel", "db_to_linear"),
                         ("channel", "sample_fading"),
                         ("numerics", "solve_cutoffs")]:
         assert name in importlib.import_module(f"impulsewf.{short}").__all__
         assert name not in impulsewf.__all__
+
+
+def test_one_solver_entry_point():
+    # A single pair is a one-row make_policies call.
+    assert not hasattr(importlib.import_module("impulsewf.adaptation"),
+                       "make_policy")
 
 
 def test_one_simulator_entry_point():

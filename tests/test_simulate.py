@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impulsewf import simulate
-from impulsewf.adaptation import (ErrorModel, Scheme, make_policies,
-                                  make_policy, policy_law)
+from impulsewf.adaptation import ErrorModel, Scheme, make_policies, policy_law
 from impulsewf.channel import ChannelParams
 from impulsewf.cli import main
 from impulsewf.simulate import (SimConfig, SimMode, _draw_windows,
                                 simulate_policies)
-from oracles import (impulse_ber_under_conventional, power_sq, qam_ber,
-                     rate_for, sinr_of, wf_power_fraction, wf_rate_bits)
+from oracles import (impulse_ber_under_conventional, make_policy, power_sq,
+                     qam_ber, rate_for, sinr_of, wf_power_fraction,
+                     wf_rate_bits)
 
 EM = ErrorModel(target_ber=1e-3)
 SET_A = dict(snr_db=0.0, inr_db=0.0)
@@ -61,6 +62,16 @@ def stream_states(params, cfg):
     states = u[blocks:].reshape(blocks, batch) < p
     return (np.repeat(h, batch), np.repeat(states[:, 0], batch),
             states.reshape(-1))
+
+
+def traced_peak(policies, cfg):
+    """Peak traced memory, in bytes, of one ``simulate_policies`` run."""
+    tracemalloc.start()
+    try:
+        simulate_policies(policies, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # The burst state aggressive and conservative adapt every symbol on.
@@ -422,13 +433,8 @@ class TestWindows:
         policy = make_policy(Scheme.CONVENTIONAL, params, EM)
 
         def peak(n_symbols):
-            tracemalloc.start()
-            try:
-                simulate_policies([policy], SimConfig(
-                    n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak([policy], SimConfig(
+                n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
         assert peak(4 * simulate.WINDOW) <= 1.25 * peak(simulate.WINDOW)
 
     @pytest.mark.parametrize("mode", list(SimMode))
@@ -442,14 +448,28 @@ class TestWindows:
              for scheme in Scheme], EM)
 
         def peak(n_symbols):
-            tracemalloc.start()
-            try:
-                simulate_policies(policies, SimConfig(
-                    n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(policies, SimConfig(
+                n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
         assert peak(4 * simulate.WINDOW) <= 1.05 * peak(simulate.WINDOW)
+
+    # One window's peak traced memory in MiB as the README states it, per
+    # (mode, rows): three schemes at one p, or the default 33-row sweep;
+    # block mode at block length 8.
+    README_PEAK_MIB = {(SimMode.PER_SYMBOL, 3): 28.1,
+                       (SimMode.PER_SYMBOL, 33): 48.1,
+                       (SimMode.BLOCK, 3): 11.0, (SimMode.BLOCK, 33): 12.3}
+
+    @pytest.mark.parametrize("mode,rows", list(README_PEAK_MIB))
+    def test_one_window_peak_memory_within_stated_figures(self, mode, rows):
+        # The ratio tests above pass whatever a window costs; this bounds
+        # the cost itself, so that a second per-row buffer fails.
+        grid = [0.5] if rows == 3 else [i / 10 for i in range(11)]
+        policies = make_policies([(scheme, params_for(SET_A, p))
+                                  for p in grid for scheme in Scheme], EM)
+        cfg = SimConfig(n_symbols=simulate.WINDOW, seed=1, mode=mode,
+                        block_len=8)
+        assert traced_peak(policies, cfg) <= \
+            1.05 * self.README_PEAK_MIB[mode, rows] * 2 ** 20
 
 
 class TestSharedDraw:
@@ -479,10 +499,88 @@ class TestSharedDraw:
         cfg = SimConfig(n_symbols=windows * window + block_len, seed=seed,
                         mode=mode, block_len=block_len)
         with mock.patch.object(simulate, "WINDOW", window):
-            swept = simulate_policies(policies, cfg)
-            assert len(swept) == len(policies)
-            for policy, result in zip(policies, swept):
-                assert result == simulate_policies([policy], cfg)[0]
+            self.assert_rows_run_alone(policies, cfg)
+
+    @staticmethod
+    def assert_rows_run_alone(policies, cfg):
+        """Each row of a sweep equals its run alone; returns the sweep."""
+        swept = simulate_policies(policies, cfg)
+        assert len(swept) == len(policies)
+        for policy, result in zip(policies, swept):
+            assert result == simulate_policies([policy], cfg)[0]
+        return swept
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_rows_of_two_links_and_error_models(self, monkeypatch, mode):
+        # Two links solved under two error models in one call, and copies
+        # of the first six policies under the other error model at the
+        # same cutoff: the same belief on the same link, so only the error
+        # model keeps their adaptation apart.
+        links = [ChannelParams(snr_db, inr_db, p) for snr_db, inr_db in
+                 [(0.0, 0.0), (10.0, 20.0)] for p in (0.0, 0.3, 1.0)]
+        ems = [EM, ErrorModel(target_ber=1e-5)]
+        policies = [policy for em in ems for policy in make_policies(
+            [(scheme, link) for link in links for scheme in Scheme], em)]
+        moved = [replace(policy, em=ems[1]) for policy in policies[:6]]
+        cfg = SimConfig(n_symbols=3001, seed=41, mode=mode, block_len=4)
+        monkeypatch.setattr(simulate, "WINDOW", 256)
+        swept = self.assert_rows_run_alone(policies + moved, cfg)
+        for result, copy in zip(swept[:6], swept[-6:]):
+            assert copy.mean_power_frac != result.mean_power_frac
+
+    @pytest.mark.parametrize("mode,block_len",
+                             [(SimMode.PER_SYMBOL, 1), (SimMode.BLOCK, 2)])
+    def test_windows_with_and_without_exposed_blocks(self, monkeypatch,
+                                                     mode, block_len):
+        # At -10 dB SNR aggressive transmits about one block in six, and
+        # conventional at p = 0.9 is fed back clean about one in ten, so
+        # many windows of four blocks expose none of them. Each row equals
+        # its run alone and, up to summation order, its run in one window:
+        # an unexposed window's shortcut kept past that window fails.
+        policies = make_policies(
+            [(scheme, ChannelParams(-10.0, 0.0, p))
+             for p in (0.0, 0.5, 0.9, 1.0) for scheme in Scheme], EM)
+        cfg = SimConfig(n_symbols=401 * block_len, seed=42, mode=mode,
+                        block_len=block_len)
+        whole = simulate_policies(policies, cfg)
+        windows = set()
+        original = simulate._adapt
+
+        def recorded(policy, *args):
+            adapted = original(policy, *args)
+            windows.add((policy, bool(adapted[2].any())))
+            return adapted
+        monkeypatch.setattr(simulate, "_adapt", recorded)
+        monkeypatch.setattr(simulate, "WINDOW", 4 * block_len)
+        swept = self.assert_rows_run_alone(policies, cfg)
+        for windowed, alone in zip(swept, whole):
+            TestWindows.assert_same_run(windowed, alone)
+        both = {(policy.scheme, policy.params.impulse_prob)
+                for policy, exposed in windows if exposed
+                and (policy, False) in windows}
+        assert {(Scheme.AGGRESSIVE, 0.0), (Scheme.CONVENTIONAL, 0.9)} <= both
+
+    @pytest.mark.parametrize("argv,window,rows,adapts", [
+        (["simulate"], None, 33, 11), (["simulate"], 2 ** 15, 33, 44),
+        (["simulate", "--p-grid", "0.4"], None, 3, 3)])
+    def test_rows_that_adapt_alike_adapt_once_per_window(
+            self, monkeypatch, capsys, argv, window, rows, adapts):
+        # The default 33 rows adapt as 11 groups: conventional at p = 0.1
+        # to 0.9, aggressive with conventional at p = 0, and conservative
+        # with conventional at p = 1. 100,000 symbols are one window, or
+        # four of 2^15. Three schemes at one p share nothing.
+        calls = []
+        original = simulate._adapt
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(simulate, "_adapt", counted)
+        if window is not None:
+            monkeypatch.setattr(simulate, "WINDOW", window)
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+        assert len(calls) == adapts
 
     @pytest.mark.parametrize("window,calls", [(None, 1), (2 ** 15, 4)])
     def test_default_sweep_samples_fading_once_per_window(
