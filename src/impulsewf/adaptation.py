@@ -44,6 +44,7 @@ __all__ = [
     "ErrorModel",
     "Policy",
     "assumption_weights",
+    "adaptation_key",
     "cutoff_rows",
     "make_policies",
     "policy_law",
@@ -121,6 +122,15 @@ def assumption_weights(scheme: Scheme, p: float) -> tuple[float, float]:
     return (1.0, 0.0) if scheme is Scheme.AGGRESSIVE else (0.0, 1.0)
 
 
+def adaptation_key(scheme: Scheme, params: ChannelParams) -> tuple:
+    """What a (scheme, link) pair adapts on under one error model: the
+    scheme's :func:`assumption_weights`, which carry p only for a belief
+    read from feedback, and the link's SNR and INR. Pairs with one key
+    solve to one cutoff and adapt every block alike."""
+    return (assumption_weights(scheme, params.impulse_prob), params.snr_db,
+            params.inr_db)
+
+
 def cutoff_rows(requests: Sequence[tuple[Scheme, ChannelParams]]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Mixture rows of :func:`impulsewf.numerics.solve_cutoffs`, one per
@@ -144,8 +154,7 @@ def make_policies(requests: Sequence[tuple[Scheme, ChannelParams]],
     and conservative's. Rows are solved independently of each other, so
     the result for a pair equals that of a call on that pair alone.
     """
-    keys = [(assumption_weights(scheme, link.impulse_prob), link.snr_db,
-             link.inr_db) for scheme, link in requests]
+    keys = [adaptation_key(scheme, link) for scheme, link in requests]
     distinct = dict(zip(keys, requests))
     weights, means = cutoff_rows(list(distinct.values()))
     solved = dict(zip(distinct, solve_cutoffs(

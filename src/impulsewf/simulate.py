@@ -63,7 +63,8 @@ from enum import Enum
 
 import numpy as np
 
-from .adaptation import Policy, assumption_weights, bursts_lost
+from .adaptation import (Policy, adaptation_key, assumption_weights,
+                         bursts_lost)
 from .channel import sample_fading
 
 __all__ = ["SimMode", "SimConfig", "SimResult", "simulate_policies"]
@@ -216,31 +217,25 @@ def _adapt(policy: Policy, h: np.ndarray, states: dict) -> tuple:
     return float(power.sum()), rate, exposed, power, assumed
 
 
-def _score(batch: int, rate: np.ndarray, exposed, scratch: np.ndarray,
-           hits) -> tuple:
+def _score(batch: int, rate: np.ndarray, exposed: np.ndarray,
+           scratch: np.ndarray, hits: np.ndarray) -> tuple:
     """Credited rate, its square and the outage count of one row in its
-    group's adapted window: every hit symbol of an exposed block is lost
-    (with ``exposed`` None no block is, and ``hits`` is unread)."""
-    kept, outages = batch, 0
-    if exposed is not None:
-        outage = np.multiply(hits, exposed)
-        outages = int(np.add.reduce(outage, dtype=np.int64))
-        kept = np.subtract(batch, outage, out=outage)
+    group's adapted window: every hit symbol of an exposed block is lost."""
+    outage = np.multiply(hits, exposed)
+    outages = int(np.add.reduce(outage, dtype=np.int64))
+    kept = np.subtract(batch, outage, out=outage)
     credited = np.multiply(rate, kept, out=scratch)
     rate_sum = float(credited.sum())
     return rate_sum, float(np.square(credited, out=scratch).sum()), outages
 
 
 def _tallies(batch: int, assumed, hits: np.ndarray) -> tuple:
-    """The four (assumed, actual) symbol tallies of one window, row-major.
-    A fixed belief's follow from the window's hit count alone."""
-    hit_symbols = int(np.add.reduce(hits, dtype=np.int64))
+    """The four (assumed, actual) symbol tallies of one window, row-major."""
+    assumed_blocks = np.broadcast_to(assumed, hits.shape)
     symbols = batch * hits.size
-    if assumed.ndim == 0:
-        assumed_hits, both = (symbols, hit_symbols) if assumed else (0, 0)
-    else:
-        assumed_hits = batch * np.count_nonzero(assumed)
-        both = int(np.add.reduce(hits * assumed, dtype=np.int64))
+    hit_symbols = int(np.add.reduce(hits, dtype=np.int64))
+    assumed_hits = batch * np.count_nonzero(assumed_blocks)
+    both = int(np.add.reduce(hits * assumed_blocks, dtype=np.int64))
     return (symbols - assumed_hits - hit_symbols + both, hit_symbols - both,
             assumed_hits - both, both)
 
@@ -258,14 +253,12 @@ def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
     # fixed belief at every p, and conventional at p = 0 and 1 with them.
     groups: dict[tuple, list[int]] = {}
     for row, policy in enumerate(policies):
-        params = policy.params
-        weights = assumption_weights(policy.scheme, params.impulse_prob)
-        groups.setdefault((policy.threshold, policy.em, weights,
-                           params.mean_sinr_clean, params.mean_sinr_impulse,
-                           bursts_lost(params)), []).append(row)
+        groups.setdefault((policy.threshold, policy.em, adaptation_key(
+            policy.scheme, policy.params)), []).append(row)
     ps = {policy.params.impulse_prob for policy in policies}
     # Only a belief that is not one fixed state reads the fed-back state.
-    reads_feedback = any(0.0 < key[2][1] < 1.0 for key in groups)
+    reads_feedback = any(0.0 < weights[1] < 1.0
+                         for _, _, (weights, *_) in groups)
     blocks = 0
     # Per row: power, rate and squared rate sums, outages, the tallies.
     sums = [[0.0, 0.0, 0.0, 0, 0, 0, 0, 0] for _ in policies]
@@ -274,15 +267,12 @@ def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
         for rows in groups.values():
             power_sum, rate, exposed, scratch, assumed = _adapt(
                 policies[rows[0]], h, states)
-            # With no block exposed, every row keeps all of its symbols.
-            shared = None if exposed.any() else _score(
-                cfg.batch, rate, None, scratch, None)
             for row in rows:
                 hits = states[policies[row].params.impulse_prob][1]
-                scored = shared or _score(cfg.batch, rate, exposed, scratch,
-                                          hits)
                 sums[row][:] = map(operator.add, sums[row], (
-                    power_sum, *scored, *_tallies(cfg.batch, assumed, hits)))
+                    power_sum, *_score(cfg.batch, rate, exposed, scratch,
+                                       hits),
+                    *_tallies(cfg.batch, assumed, hits)))
             del rate, exposed, scratch, assumed, hits
         # The next window is drawn with this one's arrays released.
         del h, states

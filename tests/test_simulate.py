@@ -452,9 +452,10 @@ class TestWindows:
                 n_symbols=n_symbols, seed=1, mode=mode, block_len=8))
         assert peak(4 * simulate.WINDOW) <= 1.05 * peak(simulate.WINDOW)
 
-    # One window's peak traced memory in MiB as the README states it, per
-    # (mode, rows): three schemes at one p, or the default 33-row sweep;
-    # block mode at block length 8.
+    # One window's peak traced memory in MiB, per (mode, rows), as the
+    # README's "Determinism and memory" paragraph states it: three schemes
+    # at one p, or the default 33-row sweep; block mode at block length 8.
+    # Measured on numpy 2.4.6, the version the tier-1 workflow installs.
     README_PEAK_MIB = {(SimMode.PER_SYMBOL, 3): 28.1,
                        (SimMode.PER_SYMBOL, 33): 48.1,
                        (SimMode.BLOCK, 3): 11.0, (SimMode.BLOCK, 33): 12.3}
@@ -536,7 +537,7 @@ class TestSharedDraw:
         # conventional at p = 0.9 is fed back clean about one in ten, so
         # many windows of four blocks expose none of them. Each row equals
         # its run alone and, up to summation order, its run in one window:
-        # an unexposed window's shortcut kept past that window fails.
+        # a group's per-window result kept past that window fails.
         policies = make_policies(
             [(scheme, ChannelParams(-10.0, 0.0, p))
              for p in (0.0, 0.5, 0.9, 1.0) for scheme in Scheme], EM)
