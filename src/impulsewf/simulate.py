@@ -229,17 +229,6 @@ def _score(batch: int, rate: np.ndarray, exposed: np.ndarray,
     return rate_sum, float(np.square(credited, out=scratch).sum()), outages
 
 
-def _tallies(batch: int, assumed, hits: np.ndarray) -> tuple:
-    """The four (assumed, actual) symbol tallies of one window, row-major."""
-    assumed_blocks = np.broadcast_to(assumed, hits.shape)
-    symbols = batch * hits.size
-    hit_symbols = int(np.add.reduce(hits, dtype=np.int64))
-    assumed_hits = batch * np.count_nonzero(assumed_blocks)
-    both = int(np.add.reduce(hits * assumed_blocks, dtype=np.int64))
-    return (symbols - assumed_hits - hit_symbols + both, hit_symbols - both,
-            assumed_hits - both, both)
-
-
 def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
                       ) -> list[SimResult]:
     """Run one deterministic Monte Carlo stream and measure each solved
@@ -260,19 +249,26 @@ def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
     reads_feedback = any(0.0 < weights[1] < 1.0
                          for _, _, (weights, *_) in groups)
     blocks = 0
-    # Per row: power, rate and squared rate sums, outages, the tallies.
-    sums = [[0.0, 0.0, 0.0, 0, 0, 0, 0, 0] for _ in policies]
+    # Per row: power, rate and squared rate sums, outages, and the blocks
+    # assumed hit, the hit symbols and the hit symbols assumed hit.
+    sums = [[0.0, 0.0, 0.0, 0, 0, 0, 0] for _ in policies]
     for h, states in _draw_windows(cfg, ps, reads_feedback):
         blocks += h.size
+        hit_symbols = {p: int(np.add.reduce(hits, dtype=np.int64))
+                       for p, (_, hits) in states.items()}
         for rows in groups.values():
             power_sum, rate, exposed, scratch, assumed = _adapt(
                 policies[rows[0]], h, states)
+            assumed_blocks = np.count_nonzero(np.broadcast_to(assumed,
+                                                              h.shape))
             for row in rows:
-                hits = states[policies[row].params.impulse_prob][1]
+                p = policies[row].params.impulse_prob
+                hits = states[p][1]
+                both = int(np.add.reduce(hits * assumed, dtype=np.int64))
                 sums[row][:] = map(operator.add, sums[row], (
                     power_sum, *_score(cfg.batch, rate, exposed, scratch,
                                        hits),
-                    *_tallies(cfg.batch, assumed, hits)))
+                    assumed_blocks, hit_symbols[p], both))
             del rate, exposed, scratch, assumed, hits
         # The next window is drawn with this one's arrays released.
         del h, states
@@ -280,13 +276,16 @@ def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
 
 
 def _result(blocks: int, batch: int, power_sum: float, rate_sum: float,
-            rate_sq_sum: float, outages: int, *tallies: int) -> SimResult:
+            rate_sq_sum: float, outages: int, assumed_blocks: int,
+            hits: int, both: int) -> SimResult:
     """One row's result from its sums over ``blocks`` blocks."""
     n = blocks * batch
     avg_se = rate_sum / n
     variance = max(rate_sq_sum / (n * batch) - avg_se ** 2, 0.0)
+    assumed = assumed_blocks * batch
     return SimResult(
         n_symbols=n, avg_se=avg_se,
         avg_se_stderr=math.sqrt(variance / blocks), outage_frac=outages / n,
         mean_power_frac=power_sum / blocks,
-        counts=(tuple(tallies[:2]), tuple(tallies[2:])))
+        counts=((n - assumed - hits + both, hits - both),
+                (assumed - both, both)))
