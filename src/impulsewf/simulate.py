@@ -45,12 +45,12 @@ uniforms with each distinct p once. Rows that agree on all the
 adaptation reads (cutoff, error model, belief, link) adapt once per
 window; each row is scored on its own hit counts in its group's one
 scratch buffer. A window holds ``max(1, WINDOW // L)`` blocks, read from
-generators positioned with ``PCG64.advance``; only each row's counts and
-float sums cross windows, in window order, so a row measures the same in
-a sweep as alone. Peak memory is O(max(WINDOW, block_len)) symbols plus
-each block's fed-back state and hit count per distinct p, whatever
-``n_symbols`` is. The window size changes no draw: counts and outage are
-exact, and the float sums move only by their summation order.
+generators positioned with ``PCG64.advance``; only each row's outage
+count and float sums cross windows, in window order, so a row measures
+the same in a sweep as alone. Peak memory is O(max(WINDOW, block_len))
+symbols plus each block's fed-back state and hit count per distinct p,
+whatever ``n_symbols`` is. The window size changes no draw: outage counts
+are exact, and the float sums move only by their summation order.
 """
 
 from __future__ import annotations
@@ -124,11 +124,8 @@ class SimResult:
 
     ``avg_se_stderr`` is the batch-means standard error of ``avg_se``:
     blocks are i.i.d., so it is the spread of the block means over the
-    root of their number. ``counts`` tallies symbols by (assumed burst
-    state, actual burst state), where the assumed state is the one the
-    scheme adapted on: the fed-back state for conventional, always-clean
-    for aggressive, always-hit for conservative. In block mode
-    ``n_symbols`` is the value after rounding up to whole blocks.
+    root of their number. In block mode ``n_symbols`` is the value after
+    rounding up to whole blocks.
     """
 
     n_symbols: int
@@ -136,7 +133,6 @@ class SimResult:
     avg_se_stderr: float
     outage_frac: float
     mean_power_frac: float
-    counts: tuple[tuple[int, int], tuple[int, int]]
 
 
 def _stream(seed: int, offset: int) -> np.random.Generator:
@@ -150,7 +146,7 @@ def _draw_windows(cfg: SimConfig, ps: Collection[float], feedback: bool
     docstring), each block's fading power and, for each burst probability
     in ``ps``, each block's fed-back state and number of hit symbols. With
     ``feedback`` false the per-symbol fed-back states are left undrawn and
-    yielded as None; the rest is read as before."""
+    yielded as None; the burst segment still starts after theirs."""
     batch = cfg.batch
     n_blocks = -(-cfg.n_symbols // batch)
     # Per symbol, the fed-back states have a segment of their own.
@@ -182,8 +178,7 @@ def _draw_windows(cfg: SimConfig, ps: Collection[float], feedback: bool
 def _adapt(policy: Policy, h: np.ndarray, states: dict) -> tuple:
     """Adapt one window (``h`` and ``states`` of :func:`_draw_windows`)
     for ``policy``'s group: the power summed over the blocks, each block's
-    rate and whether a burst on it is lost, a scratch buffer, and the
-    burst state priced (fed-back states, or a numpy bool if fixed).
+    rate and whether a burst on it is lost, and a scratch buffer.
 
     At cutoff t and budget constant k = ``em.k_sinr`` water-filling on
     g = max(H times the assumed state's mean SINR, t) spends the power
@@ -214,7 +209,7 @@ def _adapt(policy: Policy, h: np.ndarray, states: dict) -> tuple:
     exposed &= ~assumed
     exposed &= bursts_lost(params)
     # The power array is summed; its buffer is the group's scratch.
-    return float(power.sum()), rate, exposed, power, assumed
+    return float(power.sum()), rate, exposed, power
 
 
 def _score(batch: int, rate: np.ndarray, exposed: np.ndarray,
@@ -249,43 +244,31 @@ def simulate_policies(policies: Sequence[Policy], cfg: SimConfig
     reads_feedback = any(0.0 < weights[1] < 1.0
                          for _, _, (weights, *_) in groups)
     blocks = 0
-    # Per row: power, rate and squared rate sums, outages, and the blocks
-    # assumed hit, the hit symbols and the hit symbols assumed hit.
-    sums = [[0.0, 0.0, 0.0, 0, 0, 0, 0] for _ in policies]
+    # Per row: power, rate and squared rate sums, and outages.
+    sums = [[0.0, 0.0, 0.0, 0] for _ in policies]
     for h, states in _draw_windows(cfg, ps, reads_feedback):
         blocks += h.size
-        hit_symbols = {p: int(np.add.reduce(hits, dtype=np.int64))
-                       for p, (_, hits) in states.items()}
         for rows in groups.values():
-            power_sum, rate, exposed, scratch, assumed = _adapt(
-                policies[rows[0]], h, states)
-            assumed_blocks = np.count_nonzero(np.broadcast_to(assumed,
-                                                              h.shape))
+            power_sum, rate, exposed, scratch = _adapt(policies[rows[0]], h,
+                                                       states)
             for row in rows:
-                p = policies[row].params.impulse_prob
-                hits = states[p][1]
-                both = int(np.add.reduce(hits * assumed, dtype=np.int64))
+                hits = states[policies[row].params.impulse_prob][1]
                 sums[row][:] = map(operator.add, sums[row], (
                     power_sum, *_score(cfg.batch, rate, exposed, scratch,
-                                       hits),
-                    assumed_blocks, hit_symbols[p], both))
-            del rate, exposed, scratch, assumed, hits
+                                       hits)))
+            del rate, exposed, scratch, hits
         # The next window is drawn with this one's arrays released.
         del h, states
     return [_result(blocks, cfg.batch, *total) for total in sums]
 
 
 def _result(blocks: int, batch: int, power_sum: float, rate_sum: float,
-            rate_sq_sum: float, outages: int, assumed_blocks: int,
-            hits: int, both: int) -> SimResult:
+            rate_sq_sum: float, outages: int) -> SimResult:
     """One row's result from its sums over ``blocks`` blocks."""
     n = blocks * batch
     avg_se = rate_sum / n
     variance = max(rate_sq_sum / (n * batch) - avg_se ** 2, 0.0)
-    assumed = assumed_blocks * batch
     return SimResult(
         n_symbols=n, avg_se=avg_se,
         avg_se_stderr=math.sqrt(variance / blocks), outage_frac=outages / n,
-        mean_power_frac=power_sum / blocks,
-        counts=((n - assumed - hits + both, hits - both),
-                (assumed - both, both)))
+        mean_power_frac=power_sum / blocks)
